@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-chaos test-dist trace-smoke trace-campaign-smoke bench bench-smoke bench-replay bench-guard bench-campaign bench-lint bench-prof lint check
+.PHONY: test test-chaos test-dist trace-smoke trace-campaign-smoke bench bench-smoke bench-replay bench-campaign bench-lint bench-prof lint check
 
 # Tier-1: the full unit/integration suite (includes the chaos scenarios).
 test:
@@ -9,13 +9,13 @@ test:
 
 # Deterministic fault-injection scenarios only: worker crashes, hangs,
 # poisoned jobs, cache corruption, power-sample loss, and the columnar
-# guardrail scenarios (corrupt decoded columns, poisoned memos, NaN
-# passes, worker OOM, poison-job circuit breaking) — each must recover
-# to bit-identical results with the losses enumerated in the telemetry
-# and every guard intervention recorded in the collection health.
-# Includes the checkpoint/resume scenarios: the pipeline is killed after
-# every phase (including through a guard-triggered fallback) and the
-# --resume run must produce a byte-identical report.
+# guardrail scenarios (corrupt decoded columns re-decoded, NaN passes
+# rejected and retried, worker OOM, poison-job circuit breaking) — each
+# must recover to bit-identical results with the losses enumerated in
+# the telemetry and every guard intervention recorded in the collection
+# health.  Includes the checkpoint/resume scenarios: the pipeline is
+# killed after every phase (including through a guard-triggered retry)
+# and the --resume run must produce a byte-identical report.
 test-chaos:
 	$(PYTHON) -m pytest -q -m chaos
 
@@ -45,17 +45,11 @@ trace-campaign-smoke:
 bench-smoke:
 	$(PYTHON) -m pytest -q -m bench_smoke tests/sim/test_executor.py
 
-# Columnar replay speedup floor: scalar vs columnar and the decode-once
+# Columnar replay speedup floor: scalar oracle vs columnar and the decode-once
 # DVFS sweep, asserting the >=4x steady-state floor and refreshing
 # BENCH_replay.json at the repo root.
 bench-replay:
 	$(PYTHON) -m pytest -q -s -m bench_replay benchmarks/test_bench_replay_speedup.py
-
-# Guardrail overhead: sentinel-mode bookkeeping plus the amortised
-# dual-engine replay must stay under the 5% budget; refreshes
-# BENCH_guard.json at the repo root.
-bench-guard:
-	$(PYTHON) -m pytest -q -s benchmarks/test_bench_guard_overhead.py
 
 # Campaign scaling curve: one board drained by 1/2/4 shards, asserting
 # the 2-shard >=1.5x floor on multi-core hosts and refreshing

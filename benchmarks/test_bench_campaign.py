@@ -50,8 +50,6 @@ def _config() -> GemStoneConfig:
         power_workloads=profiles,
         trace_instructions=TRACE_INSTRUCTIONS,
         retry=RetryPolicy(max_attempts=2, base_seconds=0.0),
-        engine="scalar",
-        guard_level="off",
     )
 
 

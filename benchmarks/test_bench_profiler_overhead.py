@@ -45,7 +45,7 @@ RESULTS_PATH = os.path.join(
 def _time_replays(trace, machine, tracer) -> float:
     started = time.perf_counter()
     for _ in range(CALLS_PER_REP):
-        simulate(trace, machine, engine="columnar", tracer=tracer)
+        simulate(trace, machine, tracer=tracer)
     return time.perf_counter() - started
 
 
@@ -68,7 +68,7 @@ def test_bench_profiler_overhead():
 
     # Coverage gate on a real profiled run (not the timed loops).
     tracer = Tracer(enabled=True)
-    result = simulate(trace, machine, engine="columnar", tracer=tracer)
+    result = simulate(trace, machine, tracer=tracer)
     profile = profile_records(tracer.records)
     assert profile["core_cycles"] == result.core_cycles
 

@@ -1,4 +1,4 @@
-"""Columnar replay speedup: scalar vs columnar, one config vs DVFS sweep.
+"""Columnar replay speedup: scalar oracle vs columnar, one config vs DVFS sweep.
 
 The columnar engine (ISSUE PR 6) decodes a trace once into
 struct-of-arrays batches and replays it as vectorized passes, with
@@ -10,6 +10,9 @@ representative (workload, machine) pairs at the production trace length:
   streaming fixpoint and memo construction;
 * **steady**: replays through a reused :class:`CpuSimulator` — the
   one-trace-many-configs / DVFS-sweep regime the engine targets.
+
+The scalar baseline is the test-oracle reference loop,
+:func:`~repro.sim.cpu.simulate_reference`.
 
 Asserted floors (the ISSUE's acceptance criteria):
 
@@ -32,7 +35,12 @@ import time
 import pytest
 
 from benchmarks.conftest import paper_row, print_header
-from repro.sim.cpu import CpuSimulator, simulate, simulate_dvfs_sweep
+from repro.sim.cpu import (
+    CpuSimulator,
+    simulate,
+    simulate_dvfs_sweep,
+    simulate_reference,
+)
 from repro.sim.machine import machine_by_name
 from repro.workloads.suites import workload_by_name
 from repro.workloads.trace import compile_trace
@@ -55,12 +63,12 @@ RESULTS_PATH = os.path.join(
 )
 
 
-def _steady_seconds(sim: CpuSimulator, trace, reps: int) -> float:
-    """Per-replay wall seconds through a warm, reused simulator."""
-    sim.run(trace)  # warm state, decode and memos outside the timing
+def _steady_seconds(replay, trace, reps: int) -> float:
+    """Per-replay wall seconds of ``replay(trace)`` after one warm call."""
+    replay(trace)  # warm state, decode and memos outside the timing
     started = time.perf_counter()
     for _ in range(reps):
-        sim.run(trace)
+        replay(trace)
     return (time.perf_counter() - started) / reps
 
 
@@ -73,18 +81,20 @@ def _bench_pair(workload: str, machine_name: str) -> dict:
     trace_sweep = compile_trace(profile, TRACE_INSTRUCTIONS, seed=202)
 
     started = time.perf_counter()
-    simulate(trace_single, machine, engine="columnar")
+    simulate(trace_single, machine)
     cold_single = time.perf_counter() - started
 
     started = time.perf_counter()
-    points = simulate_dvfs_sweep(trace_sweep, machine, engine="columnar")
+    points = simulate_dvfs_sweep(trace_sweep, machine)
     cold_sweep = time.perf_counter() - started
 
     scalar = _steady_seconds(
-        CpuSimulator(machine, engine="scalar"), trace_single, SCALAR_REPS
+        lambda trace: simulate_reference(trace, machine),
+        trace_single,
+        SCALAR_REPS,
     )
     columnar = _steady_seconds(
-        CpuSimulator(machine, engine="columnar"), trace_single, COLUMNAR_REPS
+        CpuSimulator(machine).run, trace_single, COLUMNAR_REPS
     )
 
     return {

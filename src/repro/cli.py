@@ -89,21 +89,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "is rerun serially in the parent",
     )
     parser.add_argument(
-        "--engine",
-        choices=("auto", "columnar", "scalar"),
-        default="auto",
-        help="replay engine for every simulation (auto picks columnar; "
-        "both engines are bit-identical)",
-    )
-    parser.add_argument(
-        "--guard-level",
-        choices=("off", "sentinel", "paranoid"),
-        default="sentinel",
-        help="runtime guardrails over the replay engine: sentinel samples "
-        "jobs through both engines and falls back to scalar on any "
-        "divergence/NaN/corrupt decode; paranoid dual-replays every job",
-    )
-    parser.add_argument(
         "--log-level",
         choices=LEVELS,
         default=None,
@@ -131,8 +116,6 @@ def _gemstone(args: argparse.Namespace) -> GemStone:
             jobs=None if jobs == 0 else jobs,
             retry=RetryPolicy(max_attempts=max(1, retries)),
             sim_timeout_seconds=getattr(args, "job_timeout", None),
-            engine=getattr(args, "engine", "auto"),
-            guard_level=getattr(args, "guard_level", "sentinel"),
             checkpoint_dir=getattr(args, "checkpoint_dir", None),
             resume=getattr(args, "resume", False),
             trace_dir=getattr(args, "trace_out", None),
@@ -462,8 +445,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             report = run_worker(
                 args.board,
                 owner=args.owner,
-                engine=args.engine,
-                guard_level=args.guard_level,
                 max_jobs=args.max_jobs,
             )
         except (FileNotFoundError, ValueError) as exc:
@@ -484,8 +465,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         gem5_machine=args.model,
         trace_instructions=args.instructions,
         retry=RetryPolicy(max_attempts=max(1, args.retries)),
-        engine=args.engine,
-        guard_level=args.guard_level,
     )
     tracer = NULL_TRACER
     if args.trace_out is not None:

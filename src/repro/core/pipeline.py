@@ -60,11 +60,9 @@ from repro.core.validation import (
     ValidationDataset,
     collect_validation_dataset,
 )
-from repro.sim.cpu import ENGINES
 from repro.sim.dvfs import experiment_frequencies
 from repro.sim.executor import RetryPolicy, SimExecutor
 from repro.sim.faults import FaultPlan
-from repro.sim.guard import GUARD_LEVELS, GuardPlan
 from repro.sim.gem5 import Gem5Simulation
 from repro.sim.machine import (
     MachineConfig,
@@ -110,17 +108,6 @@ class GemStoneConfig:
             exceeding it is rerun serially in the parent.
         faults: Optional :class:`~repro.sim.faults.FaultPlan` injected into
             the executor, cache and platform (chaos testing only).
-        engine: Replay engine for every simulation in the run (``"auto"``,
-            ``"columnar"`` or ``"scalar"``, see :func:`repro.sim.simulate`).
-            Both engines are bit-identical, so like ``jobs`` this is an
-            execution knob excluded from the run fingerprint.
-        guard_level: Runtime guardrails over the replay engine
-            (:mod:`repro.sim.guard`): ``"off"``, ``"sentinel"`` (the
-            default — decode validation, NaN rejection, sampled
-            dual-engine divergence sentinels with scalar fallback, poison
-            -job circuit breaker) or ``"paranoid"`` (every job
-            dual-replayed).  Guards never change a correct result, so this
-            too is an execution knob excluded from the run fingerprint.
         checkpoint_dir: Directory for the crash-safe run state (journal +
             per-phase checkpoints, see :mod:`repro.core.runstate`); ``None``
             disables checkpointing.
@@ -160,8 +147,6 @@ class GemStoneConfig:
     retry: RetryPolicy | None = None
     sim_timeout_seconds: float | None = None
     faults: FaultPlan | None = None
-    engine: str = "auto"
-    guard_level: str = "sentinel"
     checkpoint_dir: str | None = None
     resume: bool = False
     trace: bool = False
@@ -174,15 +159,6 @@ class GemStoneConfig:
         if self.core not in ("A7", "A15"):
             raise ValueError(
                 f"core must be 'A7' or 'A15', got {self.core!r}"
-            )
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
-            )
-        if self.guard_level not in GUARD_LEVELS:
-            raise ValueError(
-                f"guard_level must be one of {GUARD_LEVELS}, "
-                f"got {self.guard_level!r}"
             )
 
     def resolve_machine(self) -> MachineConfig:
@@ -234,7 +210,7 @@ class GemStone:
             ),
             metrics=self.metrics,
         )
-        # One executor serves both engines: (workload x machine) jobs from
+        # One executor serves both simulators: (workload x machine) jobs from
         # the hardware platform and the gem5 model share its dedup, disk
         # cache, retry policy and telemetry, and dataset collection batches
         # through it.
@@ -254,8 +230,6 @@ class GemStone:
             faults=self.config.faults,
             tracer=self.tracer,
             metrics=self.metrics,
-            engine=self.config.engine,
-            guard=GuardPlan.from_level(self.config.guard_level),
         )
         # One health record spans the validation and power campaigns; the
         # report surfaces it whenever anything was lost.
@@ -269,14 +243,12 @@ class GemStone:
             cache_dir=self.config.cache_dir,
             executor=self.executor,
             faults=self.config.faults,
-            engine=self.config.engine,
         )
         self.gem5 = Gem5Simulation(
             machine,
             trace_instructions=self.config.trace_instructions,
             cache_dir=self.config.cache_dir,
             executor=self.executor,
-            engine=self.config.engine,
         )
         # Optional crash-safe run state: every memoised product below is
         # checkpointed as its phase completes, and restored on --resume.
@@ -532,9 +504,10 @@ class GemStone:
 
         With a checkpointed run state the rendered text itself is the
         final phase: it is restored or checkpointed like any product, and
-        rendered *without* the wall-clock telemetry section so that an
-        interrupted-then-resumed run is byte-identical to an uninterrupted
-        one.
+        rendered *without* the telemetry sections (they count the work this
+        process did, which a resumed run restores instead of redoing) so
+        that an interrupted-then-resumed run is byte-identical to an
+        uninterrupted one.
         """
         from repro.core.report import render_full_report
 

@@ -303,10 +303,11 @@ def render_full_report(gemstone, include_telemetry: bool = True) -> str:
 
     Args:
         gemstone: The :class:`~repro.core.pipeline.GemStone` facade.
-        include_telemetry: Append the simulation-executor telemetry
-            section.  Checkpointed runs disable it: its wall-clock rows
-            are the one nondeterministic part of the report, and resumed
-            runs must produce byte-identical text.
+        include_telemetry: Append the simulation-executor telemetry and
+            guardrail sections.  Checkpointed runs disable them: they count
+            the work this process did, which a resumed run restores
+            instead of redoing, and resumed runs must produce
+            byte-identical text.
     """
     dataset = gemstone.dataset
     freq = gemstone.config.analysis_freq_hz
@@ -398,14 +399,18 @@ def render_full_report(gemstone, include_telemetry: bool = True) -> str:
         )
 
     guard = getattr(executor, "guard", None)
-    if include_telemetry and guard is not None and guard.plan.active:
+    if include_telemetry and guard is not None:
         sections.append(render_guardrails(guard))
 
     return "\n\n".join(sections)
 
 
 def render_sim_telemetry(telemetry, jobs: int, cache_telemetry=None) -> str:
-    """Simulation-executor telemetry: job accounting and stage wall-clock."""
+    """Simulation-executor telemetry: job accounting.
+
+    Counts only, so the section is byte-stable run to run; the executor's
+    stage wall-clock stays in the ``sim.executor.*`` metrics.
+    """
     rows = [
         ["worker processes", jobs],
         ["jobs submitted", telemetry.jobs_submitted],
@@ -420,10 +425,6 @@ def render_sim_telemetry(telemetry, jobs: int, cache_telemetry=None) -> str:
         ["worker crashes", telemetry.worker_crashes],
         ["jobs failed permanently", telemetry.jobs_failed],
         ["batches", telemetry.batches],
-        ["probe wall-clock (s)", telemetry.probe_seconds],
-        ["simulate wall-clock (s)", telemetry.simulate_seconds],
-        ["reap wall-clock (s)", telemetry.reap_seconds],
-        ["throughput (sims/s)", telemetry.throughput()],
     ]
     if cache_telemetry is not None:
         rows.append(["cache entries quarantined", cache_telemetry.quarantined])
@@ -438,22 +439,16 @@ def render_sim_telemetry(telemetry, jobs: int, cache_telemetry=None) -> str:
 def render_guardrails(guard, max_events: int = 12) -> str:
     """Runtime guardrail accounting for one run.
 
-    Summarises what the divergence sentinels, decode validation and the
-    campaign watchdog (:mod:`repro.sim.guard`) observed and did: how many
-    jobs were dual-replayed, every fallback/quarantine/circuit-break, and
-    the watchdog's budget breaches.  A clean run renders all zeros — the
-    section states that the guarantees were *checked*, not just assumed.
+    Summarises what decode validation, the result integrity scan and the
+    campaign watchdog (:mod:`repro.sim.guard`) observed and did: every
+    quarantine, rejection and circuit-break, and the watchdog's budget
+    breaches.  A clean run renders all zeros — the section states that the
+    guarantees were *checked*, not just assumed.
     """
     telemetry = guard.telemetry
     rows = [
-        ["guard level", guard.plan.level],
-        ["sentinel interval (1 in N jobs)", guard.plan.interval],
-        ["sentinel dual-engine replays", telemetry.sentinel_replays],
-        ["divergences caught", telemetry.divergences],
-        ["NaN/overflow results rejected", telemetry.nan_fallbacks],
+        ["NaN/overflow results rejected", telemetry.nan_rejections],
         ["corrupt decodes re-decoded", telemetry.decode_quarantines],
-        ["engine errors recovered", telemetry.engine_errors],
-        ["scalar fallbacks (total)", telemetry.fallbacks],
         ["poison jobs circuit-broken", telemetry.poison_jobs],
         ["worker memory-budget breaches", telemetry.oom_events],
         ["heartbeat stalls observed", telemetry.heartbeat_stalls],

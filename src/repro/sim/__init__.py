@@ -3,7 +3,9 @@
 * :mod:`repro.sim.machine` — machine configurations.  The *hardware* configs
   carry the true Cortex-A7/A15 parameters; the *gem5* configs carry the
   documented specification errors of ``ex5_LITTLE.py`` / ``ex5_big.py``.
-* :mod:`repro.sim.cpu` — the shared trace-driven CPU simulator.
+* :mod:`repro.sim.cpu` — the shared trace-driven CPU simulator (replayed
+  by the columnar engine, :mod:`repro.sim.columnar`; the scalar
+  ``simulate_reference`` loop is its test oracle).
 * :mod:`repro.sim.dvfs` — operating performance points and voltage tables.
 * :mod:`repro.sim.platform` — the ODROID-XU3-like hardware platform with a
   multiplexed PMU, 3.8 Hz power sensors, and thermal throttling.
@@ -23,6 +25,7 @@ from repro.sim.cpu import (
     SimResult,
     simulate,
     simulate_dvfs_sweep,
+    simulate_reference,
 )
 from repro.sim.dvfs import OperatingPoint, OppTable, opp_table_for
 from repro.sim.executor import (
@@ -54,6 +57,7 @@ __all__ = [
     "SimResult",
     "simulate",
     "simulate_dvfs_sweep",
+    "simulate_reference",
     "OperatingPoint",
     "OppTable",
     "opp_table_for",

@@ -71,7 +71,12 @@ from repro.obs.metrics import MetricsRegistry, MetricView
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.executor import RetryPolicy
 from repro.sim.faults import InjectedFault
-from repro.sim.guard import GuardEvent, GuardPlan, guarded_simulate
+from repro.sim.guard import (
+    GuardEvent,
+    GuardRail,
+    ReplayRejected,
+    guarded_simulate,
+)
 from repro.sim.machine import (
     CacheGeometry,
     MachineConfig,
@@ -799,8 +804,7 @@ def _run_one(
     job: CampaignJob,
     attempt: int,
     owner: str,
-    engine: str,
-    guard_plan,
+    rail: GuardRail,
     faults,
     in_worker: bool,
     report: WorkerReport,
@@ -825,10 +829,10 @@ def _run_one(
     if faults is not None:
         faults.apply_job_fault(job.ordinal, job.workload, attempt,
                                in_worker=in_worker)
-    result, _events, _sentinels = guarded_simulate(
-        trace, machine, engine, guard_plan, faults, job.ordinal, attempt,
-        tracer=tracer,
+    result, events, _ = guarded_simulate(
+        trace, machine, faults, job.ordinal, attempt, tracer=tracer
     )
+    rail.absorb(events)
     store.put(trace, machine, result)
     if faults is not None:
         crash = faults.shard_fault("stored", job.workload, attempt)
@@ -846,8 +850,6 @@ def _run_one(
 def run_worker(
     board_dir: str,
     owner: str | None = None,
-    engine: str = "auto",
-    guard_level: str = "off",
     faults=None,
     max_jobs: int | None = None,
     poll_seconds: float = 0.05,
@@ -862,7 +864,10 @@ def run_worker(
     thread.  A job that raises is journalled and released for the next
     claimant; the board's attempt budget eventually poisons repeat
     offenders.  ``in_worker=False`` (the coordinator's inline drain) makes
-    injected crash faults raise instead of killing the process.
+    injected crash faults raise instead of killing the process.  Guard
+    events (re-decoded corrupt decodes, rejected replays) are counted as
+    ``sim.guard.*`` metrics in ``metrics``, so they reach the merged
+    campaign snapshot.
 
     Returns:
         A :class:`WorkerReport` of everything this shard did.
@@ -870,7 +875,7 @@ def run_worker(
     tracer = tracer if tracer is not None else NULL_TRACER
     board = CampaignBoard.open(board_dir, metrics=metrics)
     store = board.store()
-    guard_plan = GuardPlan.from_level(guard_level)
+    rail = GuardRail(metrics=board.metrics, tracer=tracer)
     if owner is None:
         owner = f"worker-{os.getpid()}"
     report = WorkerReport(owner=owner)
@@ -917,12 +922,14 @@ def run_worker(
             beat.start()
             started = time.perf_counter()
             try:
-                _run_one(board, store, job, attempt, owner, engine,
-                         guard_plan, faults, in_worker, report, tracer)
+                _run_one(board, store, job, attempt, owner, rail, faults,
+                         in_worker, report, tracer)
                 board.metrics.histogram(
                     "sim.campaign.job.seconds"
                 ).observe(time.perf_counter() - started)
             except Exception as exc:
+                if isinstance(exc, ReplayRejected):
+                    rail.absorb(exc.events)
                 report.errors += 1
                 board.telemetry.job_errors += 1
                 jspan.set(failed=True, error=type(exc).__name__)
@@ -945,8 +952,7 @@ def run_worker(
 
 
 def _worker_entry(
-    board_dir, owner, engine, guard_level, faults, max_jobs, poll_seconds,
-    trace=False,
+    board_dir, owner, faults, max_jobs, poll_seconds, trace=False,
 ):
     """Spawned-shard entry point (module-level for picklability).
 
@@ -969,8 +975,6 @@ def _worker_entry(
         run_worker(
             board_dir,
             owner=owner,
-            engine=engine,
-            guard_level=guard_level,
             faults=faults,
             max_jobs=max_jobs,
             poll_seconds=poll_seconds,
@@ -1115,8 +1119,7 @@ def run_campaign(
             for i in range(shards):
                 proc = ctx.Process(
                     target=_worker_entry,
-                    args=(board_dir, f"shard-{i}", config.engine,
-                          config.guard_level, config.faults,
+                    args=(board_dir, f"shard-{i}", config.faults,
                           max_jobs_per_shard, poll_seconds,
                           tracer.enabled),
                 )
@@ -1136,8 +1139,6 @@ def run_campaign(
                     )
                     run_worker(
                         board_dir, owner="coordinator",
-                        engine=config.engine,
-                        guard_level=config.guard_level,
                         faults=config.faults, in_worker=False,
                         poll_seconds=poll_seconds,
                         metrics=board.metrics, tracer=tracer,

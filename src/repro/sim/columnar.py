@@ -1,8 +1,10 @@
 """Columnar replay engine: vectorized trace replay, bit-identical results.
 
-The scalar engine in :mod:`repro.sim.cpu` dispatches one Python iteration
-per dynamic block.  This module replays the same trace as a handful of
-whole-trace passes instead:
+The scalar reference loop in :mod:`repro.sim.cpu`
+(:func:`~repro.sim.cpu.simulate_reference`, a test oracle) dispatches one
+Python iteration per dynamic block.  This module, the only engine that runs
+at run time, replays the same trace as a handful of whole-trace passes
+instead:
 
 1. **Branch pass** — every conditional branch is resolved at once
    (:func:`repro.uarch.branch.predict_conditional_batch`): the 2-bit
@@ -27,8 +29,8 @@ whole-trace passes instead:
    engine, which is what keeps `SimResult` *bit-identical* rather than
    merely close.
 
-The golden suite and the randomized equivalence suite assert
-bit-identity against the scalar engine, which remains the reference.
+The golden, randomized equivalence and property suites assert
+bit-identity against the scalar reference loop.
 """
 
 from __future__ import annotations
@@ -88,10 +90,10 @@ def _merge_order(pos, phase, intra, sub):
 def _repeated_sum(value: float, n: int) -> float:
     """``n`` sequential float additions of ``value`` onto 0.0.
 
-    Matches the scalar engine's accumulation rounding exactly.  For the
-    integer-valued penalties of the stock machine configurations this
-    equals ``n * value``, but custom configurations may use penalties
-    where sequential addition rounds differently.
+    Matches the scalar reference loop's accumulation rounding exactly.
+    For the integer-valued penalties of the stock machine configurations
+    this equals ``n * value``, but custom configurations may use
+    penalties where sequential addition rounds differently.
     """
     total = 0.0
     for _ in range(n):
@@ -107,7 +109,7 @@ def simulate_columnar(
 ):
     """Replay ``trace`` on ``machine`` with the columnar engine.
 
-    Returns a `SimResult` bit-identical to ``repro.sim.cpu._simulate``.
+    Returns a `SimResult` bit-identical to ``repro.sim.cpu.simulate_reference``.
     ``state`` is an optional reused `_SimState` (reset by the caller);
     only its L2-side objects and geometry carriers are used here.
     """
@@ -549,7 +551,7 @@ def _build_merged_events(
     Every event that can touch the L2, the L2 TLBs or the prefetcher — or
     that accumulates an order-sensitive float — becomes one row, keyed by
     (dynamic position, phase, intra-phase index, sub-step) so the walk
-    visits them in exactly the scalar engine's order.
+    visits them in exactly the reference loop's order.
     """
     kinds, poss, phases, intras, subs, arg0s, arg1s = [], [], [], [], [], [], []
 
@@ -992,7 +994,7 @@ def _l2_walk(merged, machine: MachineConfig, l2, l2_prefetcher, tlb):
     The shared L2, the L2 TLBs and the stride prefetcher are genuinely
     order-sensitive (and the walk accumulates every inexact float term in
     scalar order), so this stays a Python loop — but over ~3% of the
-    accesses the scalar engine touches.
+    accesses the reference loop touches.
     """
     kind_arr, arg0_arr, arg1_arr = merged
 

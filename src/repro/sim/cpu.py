@@ -20,6 +20,10 @@ ITLB and L1I with addresses that are frequently cold.  With the buggy gem5
 predictor this happens an order of magnitude more often, producing the
 walker-cache traffic of the paper's gem5-event Cluster A and the associated
 fetch stalls.
+
+Every run replays through the columnar engine (:mod:`repro.sim.columnar`).
+The scalar per-block loop in this module, :func:`simulate_reference`, is
+the test oracle that engine is checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.sim.columnar import simulate_columnar
 from repro.sim.machine import MachineConfig
 from repro.uarch.branch import IndirectPredictor, ReturnAddressStack, make_predictor
 from repro.uarch.cache import SetAssociativeCache, StridePrefetcher
@@ -116,10 +121,10 @@ class SimResult:
 
         Every counter and weight a replay produces is a finite non-negative
         number by construction, so any violation means a vectorized pass
-        (or a poisoned memo feeding one) leaked garbage into the
-        accounting.  The guard layer (:mod:`repro.sim.guard`) rejects such
-        results and falls back to the scalar engine.  Returns
-        human-readable violations; an empty list means the result is sound.
+        leaked garbage into the accounting.  The guard layer
+        (:mod:`repro.sim.guard`) rejects such results, quarantines the
+        decode and lets the job be retried.  Returns human-readable
+        violations; an empty list means the result is sound.
         """
         problems: list[str] = []
 
@@ -209,25 +214,18 @@ def _make_state(machine: MachineConfig) -> _SimState:
     )
 
 
-#: Engine names accepted by :func:`simulate` / :class:`CpuSimulator`.
-ENGINES = ("auto", "columnar", "scalar")
-
-
 class CpuSimulator:
     """Reusable simulator bound to one machine configuration.
 
     Allocates the micro-architectural state once and resets it between
-    runs, and (with the default columnar engine) shares each trace's
-    decoded columnar form through the trace-level memo — so sweeping one
-    trace over many configurations or many traces over one configuration
-    pays neither repeated decode nor repeated allocation.
+    runs, and shares each trace's decoded columnar form through the
+    trace-level memo — so sweeping one trace over many configurations or
+    many traces over one configuration pays neither repeated decode nor
+    repeated allocation.
     """
 
-    def __init__(self, machine: MachineConfig, engine: str = "auto"):
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    def __init__(self, machine: MachineConfig):
         self.machine = machine
-        self.engine = engine
         self._state: _SimState | None = None
 
     def run(self, trace: SyntheticTrace) -> SimResult:
@@ -236,7 +234,7 @@ class CpuSimulator:
             self._state = _make_state(self.machine)
         else:
             self._state.reset()
-        return _dispatch(trace, self.machine, self.engine, self._state)
+        return simulate_columnar(trace, self.machine, self._state)
 
 
 @dataclass(frozen=True)
@@ -253,7 +251,6 @@ def simulate_dvfs_sweep(
     trace: SyntheticTrace,
     machine: MachineConfig,
     freqs_hz: Sequence[float] | None = None,
-    engine: str = "auto",
 ) -> list[DvfsPointResult]:
     """Replay one trace at every DVFS operating point of ``machine``.
 
@@ -268,7 +265,7 @@ def simulate_dvfs_sweep(
         from repro.sim.dvfs import experiment_frequencies
 
         freqs_hz = experiment_frequencies(machine.core)
-    sim = CpuSimulator(machine, engine=engine)
+    sim = CpuSimulator(machine)
     points = []
     for freq_hz in freqs_hz:
         result = sim.run(trace)
@@ -286,42 +283,26 @@ def simulate_dvfs_sweep(
 def simulate(
     trace: SyntheticTrace,
     machine: MachineConfig,
-    engine: str = "auto",
     tracer: Tracer = NULL_TRACER,
 ) -> SimResult:
     """Simulate ``trace`` on ``machine``; see :class:`SimResult`.
 
-    ``engine`` selects the replay implementation: ``"columnar"`` (the
-    vectorized engine), ``"scalar"`` (the per-block reference loop), or
-    ``"auto"`` (columnar).  Both engines produce bit-identical results;
-    the golden and randomized equivalence suites enforce it.  ``tracer``
-    (columnar engine only) records per-pass spans and the deterministic
-    replay-profile attribution; results never depend on it.
+    Replays through the columnar engine (:mod:`repro.sim.columnar`).
+    ``tracer`` records per-pass spans and the deterministic replay-profile
+    attribution; results never depend on it.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return _dispatch(trace, machine, engine, None, tracer)
+    return simulate_columnar(trace, machine, None, tracer)
 
 
-def _dispatch(
-    trace: SyntheticTrace,
-    machine: MachineConfig,
-    engine: str,
-    state: _SimState | None,
-    tracer: Tracer = NULL_TRACER,
-) -> SimResult:
-    if engine == "scalar":
-        return _simulate(trace, machine, state)
-    from repro.sim.columnar import simulate_columnar
+def simulate_reference(trace: SyntheticTrace, machine: MachineConfig) -> SimResult:
+    """The scalar per-block reference loop: a test oracle.
 
-    return simulate_columnar(trace, machine, state, tracer)
-
-
-def _simulate(
-    trace: SyntheticTrace, machine: MachineConfig, state: _SimState | None = None
-) -> SimResult:
-    if state is None:
-        state = _make_state(machine)
+    Replays one Python iteration per dynamic block against the concrete
+    cache, TLB and predictor models.  The golden, equivalence and property
+    suites assert :func:`simulate` is bit-identical to it.  It is never
+    called at run time.
+    """
+    state = _make_state(machine)
     l1i = state.l1i
     l1d = state.l1d
     l2 = state.l2
@@ -662,7 +643,7 @@ def _prewarm(
 
 
 def _data_warm_arrays(trace: SyntheticTrace, l2_size_bytes: int):
-    """Data-side warm sequences shared by both engines.
+    """Data-side warm sequences shared by the engine and the reference loop.
 
     Returns ``(l2_warm, l1d_warm, data_pages)`` line/page arrays in the
     original stream order (every fourth warmed line — offset

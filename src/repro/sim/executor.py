@@ -27,8 +27,9 @@ The executor owns the whole memoisation *and* recovery story for a batch:
   environment) degrades to the serial path with the identical results;
 * **observability** — job accounting lives in a
   :class:`~repro.obs.metrics.MetricsRegistry` (:class:`SimTelemetry` is a
-  thin view over it, surfaced by
-  :func:`repro.core.report.render_sim_telemetry` in the full report), and
+  thin view over it; :func:`repro.core.report.render_sim_telemetry` shows
+  its counts in the full report, while the stage wall-clock stays in the
+  metrics so reports are byte-stable run to run), and
   an optional :class:`~repro.obs.tracer.Tracer` records per-batch and
   per-job spans — including spans recorded *inside* worker processes,
   shipped back with the results and stitched into the parent tree.
@@ -48,11 +49,12 @@ from typing import Iterable, Sequence
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, MetricView
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim.cpu import ENGINES, SimResult
+from repro.sim.cpu import SimResult
 from repro.sim.guard import (
     GuardEvent,
     GuardPlan,
     GuardRail,
+    ReplayRejected,
     check_memory_budget,
     guarded_simulate,
 )
@@ -193,27 +195,16 @@ class SimTelemetry(MetricView):
     }
 
     @property
-    def wall_seconds(self) -> float:
-        """Total wall-clock across all executor stages."""
-        return self.probe_seconds + self.simulate_seconds + self.reap_seconds
-
-    @property
     def cache_misses(self) -> int:
         """Unique jobs not answered by the disk cache."""
         return self.jobs_run
-
-    def throughput(self) -> float:
-        """Simulations per second of simulate-stage wall-clock."""
-        if self.simulate_seconds <= 0.0:
-            return 0.0
-        return self.jobs_run / self.simulate_seconds
 
 
 def _run_job(payload):
     """Worker-side entry point: simulate one job.
 
     ``payload`` is ``(trace, machine, spec, faults, ordinal, attempt,
-    want_spans, engine, guard_plan)``.  Any fault matching (ordinal,
+    want_spans, guard_plan)``.  Any fault matching (ordinal,
     attempt) fires first — a ``crash`` fault hard-kills this worker so the
     parent observes a genuine broken pool, and a guard memory budget
     already breached refuses the job with ``MemoryError`` (the parent
@@ -227,12 +218,13 @@ def _run_job(payload):
     in-band.  Either way the return value is a ``(token_or_result,
     span_records, guard_payload)`` triple: when the parent traces, the
     worker records its own child spans on a throwaway tracer and the
-    parent stitches them into its tree, and ``guard_payload =
-    (guard_events, sentinel_replays)`` ships the guardrail outcome back
-    for the parent's :class:`GuardRail` to absorb.
+    parent stitches them into its tree, and ``guard_events`` ships the
+    guardrail outcome back for the parent's :class:`GuardRail` to absorb.
+    A rejected replay raises :class:`~repro.sim.guard.ReplayRejected`,
+    which carries its events back through the pool.
     """
     (trace, machine, spec, faults, ordinal, attempt, want_spans,
-     engine, guard_plan) = payload
+     guard_plan) = payload
     tracer = Tracer(enabled=want_spans)
     with tracer.span(
         "sim-job",
@@ -246,9 +238,8 @@ def _run_job(payload):
         if faults is not None:
             faults.apply_job_fault(ordinal, trace.name, attempt, in_worker=True)
         check_memory_budget(guard_plan)
-        result, guard_events, sentinels = guarded_simulate(
-            trace, machine, engine, guard_plan, faults, ordinal, attempt,
-            tracer=tracer,
+        result, guard_events, _ = guarded_simulate(
+            trace, machine, faults, ordinal, attempt, tracer=tracer
         )
         if spec is not None:
             with tracer.span("cache-put", kind="cache"):
@@ -259,7 +250,7 @@ def _run_job(payload):
     return (
         result,
         (tracer.records if want_spans else None),
-        (tuple(guard_events), sentinels),
+        tuple(guard_events),
     )
 
 
@@ -290,15 +281,14 @@ class SimExecutor:
         metrics: Shared :class:`~repro.obs.metrics.MetricsRegistry`; one
             is created privately when not given.  :attr:`telemetry` (and
             the cache's) are views over it.
-        guard: Optional :class:`~repro.sim.guard.GuardPlan`; defaults to
-            guards off.  When active, every simulated job runs through
+        guard: Optional :class:`~repro.sim.guard.GuardPlan` of watchdog
+            budgets; defaults to none.  Every simulated job runs through
             :func:`~repro.sim.guard.guarded_simulate` (decode validation,
-            NaN rejection, sampled dual-engine sentinels with scalar
-            fallback), the campaign watchdog supervises batches, and
-            poisoned jobs (``poison_threshold`` worker kills) are
-            circuit-broken into the parent's serial lane.  Guard events
-            accumulate on :attr:`guard` (a
-            :class:`~repro.sim.guard.GuardRail`).
+            NaN rejection; a rejected replay is retried under ``retry``),
+            the campaign watchdog supervises batches, and poisoned jobs
+            (``poison_threshold`` worker kills) are circuit-broken into
+            the parent's serial lane.  Guard events accumulate on
+            :attr:`guard` (a :class:`~repro.sim.guard.GuardRail`).
 
     Raises:
         ValueError: For a non-positive explicit ``jobs`` or timeout.
@@ -314,13 +304,8 @@ class SimExecutor:
         faults=None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        engine: str = "auto",
         guard: GuardPlan | None = None,
     ):
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
         if jobs is None:
             jobs = os.cpu_count() or 1
         if jobs < 1:
@@ -328,7 +313,6 @@ class SimExecutor:
         if timeout_seconds is not None and timeout_seconds <= 0:
             raise ValueError(f"timeout_seconds must be positive, got {timeout_seconds}")
         self.jobs = int(jobs)
-        self.engine = engine
         self.retry = retry if retry is not None else RetryPolicy()
         self.timeout_seconds = timeout_seconds
         self.faults = faults
@@ -402,7 +386,11 @@ class SimExecutor:
             with self.tracer.span("cache-probe", kind="cache"):
                 for key, indices in slots.items():
                     trace, machine = pairs[indices[0]]
-                    cached = self.cache.get(trace, machine) if self.cache else None
+                    cached = (
+                        self.cache.get(trace, machine)
+                        if self.cache is not None
+                        else None
+                    )
                     if cached is not None:
                         telemetry.cache_hits += 1
                         for index in indices:
@@ -529,7 +517,7 @@ class SimExecutor:
                     futures[i] = pool.submit(
                         _run_job,
                         (trace, machine, spec, self.faults, ordinal, 1,
-                         want_spans, self.engine, self.guard.plan),
+                         want_spans, self.guard.plan),
                     )
                     watchdog.job_started(ordinal, trace.name, machine.name)
             except Exception:
@@ -578,6 +566,8 @@ class SimExecutor:
                         )
                     )
                 except Exception as exc:  # a poisoned job's own exception
+                    if isinstance(exc, ReplayRejected):
+                        self.guard.absorb(exc.events)
                     failed_kind[i] = "error"
                     failed_error[i] = f"{type(exc).__name__}: {exc}"
                     self.tracer.event(
@@ -610,8 +600,7 @@ class SimExecutor:
         # Absorb the workers' shipped-back guard outcomes in submit order,
         # so event ordering is deterministic regardless of completion order.
         for i in sorted(guard_payloads):
-            events, sentinels = guard_payloads[i]
-            self.guard.absorb(events, sentinels)
+            self.guard.absorb(guard_payloads[i])
 
         outcomes: list[SimResult | SimJobFailure | None] = [None] * len(pending)
         started = perf_counter()
@@ -625,11 +614,11 @@ class SimExecutor:
             if result is None:
                 # Reap failed (entry evicted or corrupted underneath us) —
                 # recompute in the parent; determinism makes this safe.
-                result, events, sentinels = guarded_simulate(
-                    trace, machine, self.engine, self.guard.plan,
-                    self.faults, ordinals[i], tracer=self.tracer,
+                result, events, _ = guarded_simulate(
+                    trace, machine, self.faults, ordinals[i],
+                    tracer=self.tracer,
                 )
-                self.guard.absorb(events, sentinels)
+                self.guard.absorb(events)
                 if self.cache is not None:
                     self.cache.put(trace, machine, result)
             outcomes[i] = result
@@ -721,12 +710,14 @@ class SimExecutor:
                     self.faults.apply_job_fault(
                         ordinal, trace.name, attempt, in_worker=False
                     )
-                result, guard_events, sentinels = guarded_simulate(
-                    trace, machine, self.engine, self.guard.plan,
-                    self.faults, ordinal, attempt, tracer=self.tracer,
+                result, guard_events, _ = guarded_simulate(
+                    trace, machine, self.faults, ordinal, attempt,
+                    tracer=self.tracer,
                 )
-                self.guard.absorb(guard_events, sentinels)
+                self.guard.absorb(guard_events)
             except Exception as exc:
+                if isinstance(exc, ReplayRejected):
+                    self.guard.absorb(exc.events)
                 if attempt >= self.retry.max_attempts:
                     self.telemetry.jobs_failed += 1
                     job_span.set(

@@ -19,13 +19,12 @@ fire where:
 * ``drop-power`` / ``nan-power`` — the platform's 3.8 Hz power sensor loses
   samples or returns NaN, exercising the robust-mean path and the
   sample-loss accounting in :class:`~repro.core.validation.CollectionHealth`.
-* ``corrupt-column`` / ``poison-memo`` / ``nan-pass`` — columnar-engine
-  faults consumed by :func:`repro.sim.guard.guarded_simulate`: a decoded
-  column is bit-flipped (decode validation must quarantine + re-decode), a
-  verified-decode memo is scrambled (the divergence sentinel must catch the
-  silently wrong replay), or a vectorized pass leaks a NaN into the result
-  (the integrity scan must reject it).  All three heal in-call, so the
-  returned result stays bit-identical to the scalar reference.
+* ``corrupt-column`` / ``nan-pass`` — columnar-engine faults consumed by
+  :func:`repro.sim.guard.guarded_simulate`: a decoded column re-attaches
+  bit-flipped (decode validation must quarantine and re-decode it in-call),
+  or a vectorized pass leaks a NaN into the result (the integrity scan must
+  reject it, and the job's retry replays a fresh decode).  Either way the
+  final result stays bit-identical to a fault-free run.
 * ``oom`` — a worker breaches the guard plan's memory budget: the job
   raises :class:`MemoryError` in a worker (and in the parent's pool-retry
   path), exercising the executor's isolate-to-serial OOM lane.
@@ -59,7 +58,6 @@ FAULT_KINDS = (
     "drop-power",
     "nan-power",
     "corrupt-column",
-    "poison-memo",
     "nan-pass",
     "oom",
     "shard-crash",
@@ -67,7 +65,7 @@ FAULT_KINDS = (
 )
 
 #: Kinds consumed inside :func:`repro.sim.guard.guarded_simulate`.
-COLUMNAR_FAULT_KINDS = ("corrupt-column", "poison-memo", "nan-pass")
+COLUMNAR_FAULT_KINDS = ("corrupt-column", "nan-pass")
 
 #: Kinds consumed by campaign shard workers (:mod:`repro.sim.campaign`).
 SHARD_FAULT_KINDS = ("shard-crash", "lease-stall")
@@ -156,11 +154,6 @@ class FaultPlan:
     def corrupt_column(cls, workload: str, attempts: int = 1) -> "FaultPlan":
         """Bit-flip a decoded column before the first N replays of a workload."""
         return cls((FaultSpec("corrupt-column", workload=workload, attempts=attempts),))
-
-    @classmethod
-    def poison_memo(cls, workload: str, attempts: int = 1) -> "FaultPlan":
-        """Scramble the decode's warm-row memos before the first N replays."""
-        return cls((FaultSpec("poison-memo", workload=workload, attempts=attempts),))
 
     @classmethod
     def nan_pass(cls, workload: str, attempts: int = 1) -> "FaultPlan":
@@ -267,7 +260,7 @@ class FaultPlan:
 
         Consumed by :func:`repro.sim.guard.guarded_simulate`, which injects
         the matching corruption before/after the columnar replay so every
-        guard fallback path is exercised deterministically.
+        guard check is exercised deterministically.
         """
         return tuple(
             spec.kind

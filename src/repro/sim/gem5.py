@@ -81,10 +81,8 @@ class Gem5Simulation:
         cache_dir: str | None = None,
         executor=None,
         jobs: int | None = None,
-        engine: str = "auto",
     ):
         self.machine = machine if machine is not None else gem5_ex5_big()
-        self.engine = engine
         if self.machine.flavour != "gem5":
             raise ValueError(
                 f"{self.machine.name} is a {self.machine.flavour} config; "
@@ -97,7 +95,7 @@ class Gem5Simulation:
         if executor is None and jobs is not None and jobs != 1:
             from repro.sim.executor import SimExecutor
 
-            executor = SimExecutor(jobs=jobs, cache_dir=cache_dir, engine=engine)
+            executor = SimExecutor(jobs=jobs, cache_dir=cache_dir)
         self.executor = executor
         self._disk_cache = None
         if cache_dir is not None and executor is None:
@@ -123,7 +121,7 @@ class Gem5Simulation:
                 if self._disk_cache is not None:
                     result = self._disk_cache.get(trace, self.machine)
                 if result is None:
-                    result = simulate(trace, self.machine, self.engine)
+                    result = simulate(trace, self.machine)
                     if self._disk_cache is not None:
                         self._disk_cache.put(trace, self.machine, result)
             self._sim_cache[profile.name] = result

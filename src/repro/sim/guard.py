@@ -1,46 +1,46 @@
-"""Runtime guardrails: self-verifying replay and supervised campaigns.
+"""Runtime guardrails: cheap always-on checks and supervised campaigns.
 
-The columnar engine (:mod:`repro.sim.columnar`) is the default hot path
-for every simulated cycle, and the paper's claims rest on those numbers
-being bit-exact.  This module adds the runtime defenses that keep a corrupt
-decoded column, a poisoned memo or a silent NaN in a vectorized pass from
-flowing unchecked into the power model and validation tables:
+The columnar engine (:mod:`repro.sim.columnar`) computes every simulated
+cycle, and the paper's claims rest on those numbers being exact.  This
+module keeps a corrupt decoded column or a silent NaN in a vectorized pass
+from flowing unchecked into the power model and validation tables, with
+checks cheap enough to run on every job:
 
-* **Divergence sentinels** — :func:`guarded_simulate` deterministically
-  samples a small fraction of jobs (seeded on the job ordinal) and replays
-  them through *both* engines, comparing the results bit-exactly.  Any
-  divergence, any NaN/overflow in the columnar result, or any failed
-  decode contract triggers an automatic per-job fallback to
-  ``engine="scalar"`` with a structured :class:`GuardEvent` — never a
-  silent wrong number.
-* **Decoded-form validation** — every cross-worker re-attach of a
-  :class:`~repro.workloads.trace.ColumnarTrace` is checked against its
-  checksum + shape/dtype/bounds contract
-  (:func:`repro.workloads.trace.validate_columnar`); corrupt decodes are
-  quarantined and re-decoded in place.
+* **Decoded-form validation** — the first replay of a
+  :class:`~repro.workloads.trace.ColumnarTrace` in a process (every
+  cross-worker re-attach) checks it against its checksum and its
+  shape/dtype/bounds contract (:func:`repro.workloads.trace.validate_columnar`);
+  a corrupt decode is quarantined and re-decoded in place.
+* **Result integrity** — every result is scanned for NaN/overflow
+  (:meth:`~repro.sim.cpu.SimResult.integrity_problems`).  A rejected
+  result, like an engine exception, quarantines the decode and raises
+  :class:`ReplayRejected`; the executor's retry policy and the campaign's
+  lease re-queue then re-run the job on a fresh decode.  A job that keeps
+  failing is a failed job in
+  :class:`~repro.core.validation.CollectionHealth`, never a silent number.
 * **Campaign watchdog** — :class:`CampaignWatchdog` supervises a
   :class:`~repro.sim.executor.SimExecutor` batch with per-job heartbeats,
   memory/deadline budgets and poison-job detection: a job that kills N
   workers in a row is circuit-broken into the parent's serial quarantine
   lane instead of being resubmitted to (and killing) fresh pools forever.
 
+Bit-identity of the engine with the scalar reference loop
+(:func:`repro.sim.cpu.simulate_reference`) is checked at test time by the
+golden, equivalence and property suites, not by replaying jobs twice at
+run time.
+
 Everything surfaces three ways: :class:`GuardEvent` records (absorbed into
 :class:`~repro.core.validation.CollectionHealth` by dataset collection),
 ``sim.guard.*`` metrics in the shared registry, and tracer events — the
-report's "Guardrails" section renders the accounting.
-
-The guard never *changes* a correct result: both engines are bit-identical
-by construction, so a clean campaign under ``--guard-level sentinel`` (the
-default) produces byte-for-byte the same report as ``--guard-level off``.
+report's "Guardrails" section renders the accounting.  The checks never
+change a correct result.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import monotonic
-
-import numpy as np
 
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, MetricView
@@ -50,18 +50,8 @@ from repro.workloads.trace import SyntheticTrace, validate_columnar
 
 logger = get_logger(__name__)
 
-#: Guard levels accepted by :class:`GuardPlan` and ``--guard-level``.
-GUARD_LEVELS = ("off", "sentinel", "paranoid")
-
-#: Default sentinel sampling interval (1 job in N is dual-replayed).  The
-#: scalar reference replay costs 10-15x a steady-state columnar replay
-#: (BENCH_replay.json), so the interval keeps sentinel-mode overhead on a
-#: steady-state campaign under the 5% budget asserted by BENCH_guard.json.
-SENTINEL_INTERVAL = 512
-
 #: Marker key on ``ColumnarTrace.fixpoint_seeds`` recording that this
-#: process already validated the decode (sentinel mode validates once per
-#: re-attach; paranoid re-validates every replay).
+#: process already validated the decode (once per re-attach).
 _VALIDATED_KEY = ("guard", "validated")
 
 
@@ -70,18 +60,17 @@ class GuardEvent:
     """One structured guardrail action (never a silent degradation).
 
     Attributes:
-        kind: What was detected: ``divergence``, ``nan-result``,
-            ``decode-corrupt``, ``engine-error``, ``poison-job``,
-            ``worker-oom``, ``heartbeat-stall``, ``deadline``,
-            ``memory-budget``, ``shard-lost``, ``lease-steal``.
+        kind: What was detected: ``nan-result``, ``decode-corrupt``,
+            ``engine-error``, ``poison-job``, ``worker-oom``,
+            ``heartbeat-stall``, ``deadline``, ``memory-budget``,
+            ``shard-lost``, ``lease-steal``.
         workload: Trace name of the affected job ("*" for campaign-wide
             watchdog events).
         machine: Machine name of the affected job ("*" likewise).
-        action: What the guard did about it: ``fallback-scalar``,
-            ``requarantine-decode``, ``circuit-break``, ``isolate``,
+        action: What the guard did about it: ``requarantine-decode``,
+            ``quarantine-retry``, ``circuit-break``, ``isolate``,
             ``observe``.
-        detail: Human-readable specifics (mismatched fields, budget
-            numbers, ...).
+        detail: Human-readable specifics (violations, budget numbers, ...).
     """
 
     kind: str
@@ -98,19 +87,29 @@ class GuardEvent:
         return line
 
 
-@dataclass(frozen=True)
-class GuardPlan:
-    """Immutable, picklable guardrail configuration (ships to workers).
+class ReplayRejected(RuntimeError):
+    """A replay failed a guard check; the job must be retried.
 
     Attributes:
-        level: ``"off"`` (no guards), ``"sentinel"`` (sampled dual-engine
-            verification + decode validation on re-attach, the default for
-            pipeline runs) or ``"paranoid"`` (every job dual-replayed,
-            decode re-validated on every replay).
-        sentinel_interval: Sample 1 job in N for dual-engine verification;
-            ``None`` resolves per level (``SENTINEL_INTERVAL`` for
-            sentinel, 1 for paranoid).
-        seed: Phase offset for the deterministic ordinal sampling.
+        events: Every :class:`GuardEvent` the failed attempt recorded, the
+            rejection last.  Executors and campaign shards absorb them into
+            their :class:`GuardRail` before retrying.
+    """
+
+    def __init__(self, events):
+        self.events = tuple(events)
+        super().__init__(self.events[-1].summary())
+
+    def __reduce__(self):
+        # Pickled back from pool workers: rebuild from the events alone.
+        return (type(self), (self.events,))
+
+
+@dataclass(frozen=True)
+class GuardPlan:
+    """Immutable, picklable watchdog configuration (ships to workers).
+
+    Attributes:
         heartbeat_seconds: Watchdog: emit a ``heartbeat-stall`` event for
             any pooled job in flight longer than this (observation only —
             the executor's own timeout still owns cancellation).
@@ -124,65 +123,20 @@ class GuardPlan:
             lane after it has killed this many workers.
     """
 
-    level: str = "off"
-    sentinel_interval: int | None = None
-    seed: int = 0
     heartbeat_seconds: float | None = None
     batch_deadline_seconds: float | None = None
     memory_budget_mb: float | None = None
     poison_threshold: int = 2
 
     def __post_init__(self) -> None:
-        if self.level not in GUARD_LEVELS:
-            raise ValueError(
-                f"unknown guard level {self.level!r}; expected one of {GUARD_LEVELS}"
-            )
-        if self.sentinel_interval is not None and self.sentinel_interval < 1:
-            raise ValueError(
-                f"sentinel_interval must be >= 1, got {self.sentinel_interval}"
-            )
         if self.poison_threshold < 1:
             raise ValueError(
                 f"poison_threshold must be >= 1, got {self.poison_threshold}"
             )
 
-    # ------------------------------------------------------------ constructors
-    @classmethod
-    def off(cls) -> "GuardPlan":
-        """No runtime guards (the engines' own verified memos remain)."""
-        return cls(level="off")
-
-    @classmethod
-    def from_level(cls, level: str, **overrides) -> "GuardPlan":
-        """Build a plan for a ``--guard-level`` name."""
-        return cls(level=level, **overrides)
-
-    # ---------------------------------------------------------------- queries
-    @property
-    def active(self) -> bool:
-        return self.level != "off"
-
-    @property
-    def interval(self) -> int:
-        """The resolved sentinel sampling interval."""
-        if self.sentinel_interval is not None:
-            return self.sentinel_interval
-        return 1 if self.level == "paranoid" else SENTINEL_INTERVAL
-
-    def samples(self, ordinal: int) -> bool:
-        """Whether the job with this executor ordinal is sentinel-sampled.
-
-        Seeded on the ordinal so the choice is deterministic across runs,
-        identical between the pool and serial paths, and independent of
-        scheduling order.
-        """
-        if not self.active:
-            return False
-        return (ordinal + self.seed) % self.interval == 0
-
     def supervises(self) -> bool:
         """Whether any watchdog budget needs the supervisor thread."""
-        return self.active and (
+        return (
             self.heartbeat_seconds is not None
             or self.batch_deadline_seconds is not None
             or self.memory_budget_mb is not None
@@ -193,12 +147,9 @@ class GuardTelemetry(MetricView):
     """Guardrail counters, a view over the shared metrics registry.
 
     Attributes:
-        sentinel_replays: Jobs dual-replayed through both engines.
-        divergences: Sentinel comparisons that found a mismatch.
-        nan_fallbacks: Columnar results rejected for NaN/overflow.
+        nan_rejections: Results rejected for NaN/overflow (job retried).
         decode_quarantines: Corrupt decodes quarantined and re-decoded.
-        engine_errors: Columnar replays that raised and fell back.
-        fallbacks: Total per-job fallbacks to the scalar engine.
+        engine_errors: Replays that raised (job retried).
         poison_jobs: Jobs circuit-broken into the serial quarantine lane.
         oom_events: Worker memory-budget breaches (injected or real).
         heartbeat_stalls: Jobs observed in flight past the heartbeat budget.
@@ -212,12 +163,9 @@ class GuardTelemetry(MetricView):
     _fields = {
         name: f"sim.guard.{name}"
         for name in (
-            "sentinel_replays",
-            "divergences",
-            "nan_fallbacks",
+            "nan_rejections",
             "decode_quarantines",
             "engine_errors",
-            "fallbacks",
             "poison_jobs",
             "oom_events",
             "heartbeat_stalls",
@@ -232,8 +180,7 @@ class GuardTelemetry(MetricView):
 
 #: GuardEvent.kind -> GuardTelemetry counter attribute.
 _KIND_COUNTERS = {
-    "divergence": "divergences",
-    "nan-result": "nan_fallbacks",
+    "nan-result": "nan_rejections",
     "decode-corrupt": "decode_quarantines",
     "engine-error": "engine_errors",
     "poison-job": "poison_jobs",
@@ -245,18 +192,14 @@ _KIND_COUNTERS = {
     "lease-steal": "lease_steals",
 }
 
-#: Event kinds that mean a job's columnar result was replaced by the
-#: scalar reference result.
-_FALLBACK_KINDS = frozenset({"divergence", "nan-result", "engine-error"})
-
 
 class GuardRail:
-    """Parent-side guardrail state for one executor's lifetime.
+    """Guardrail state for one executor's (or campaign shard's) lifetime.
 
     Collects :class:`GuardEvent` records (worker-side events ship back
-    in-band with results and are absorbed here), mirrors them into
-    ``sim.guard.*`` metrics and tracer events, and owns the
-    :class:`CampaignWatchdog`.
+    in-band with results, or inside a :class:`ReplayRejected`, and are
+    absorbed here), mirrors them into ``sim.guard.*`` metrics and tracer
+    events, and owns the :class:`CampaignWatchdog`.
     """
 
     def __init__(
@@ -265,17 +208,13 @@ class GuardRail:
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ):
-        self.plan = plan if plan is not None else GuardPlan.off()
+        self.plan = plan if plan is not None else GuardPlan()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.telemetry = GuardTelemetry(self.metrics)
         #: Every anomaly recorded over this executor's lifetime.
         self.events: list[GuardEvent] = []
         self.watchdog = CampaignWatchdog(self)
-
-    @property
-    def level(self) -> str:
-        return self.plan.level
 
     def record(self, event: GuardEvent) -> None:
         """Absorb one guard event: list + metrics + tracer, atomically."""
@@ -284,8 +223,6 @@ class GuardRail:
         counter = _KIND_COUNTERS.get(event.kind)
         if counter is not None:
             setattr(self.telemetry, counter, getattr(self.telemetry, counter) + 1)
-        if event.kind in _FALLBACK_KINDS:
-            self.telemetry.fallbacks += 1
         self.tracer.event(
             "guard",
             guard_kind=event.kind,
@@ -294,10 +231,8 @@ class GuardRail:
             action=event.action,
         )
 
-    def absorb(self, events, sentinel_replays: int = 0) -> None:
-        """Absorb a worker job's shipped-back guard outcome."""
-        if sentinel_replays:
-            self.telemetry.sentinel_replays += sentinel_replays
+    def absorb(self, events) -> None:
+        """Absorb the guard events a job shipped back."""
         for event in events or ():
             self.record(event)
 
@@ -339,93 +274,56 @@ def check_memory_budget(plan: GuardPlan | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Result integrity and bit-exact comparison
-# ---------------------------------------------------------------------------
-
-def compare_results(a, b) -> list[str]:
-    """Bit-exact field comparison of two :class:`SimResult` objects.
-
-    Returns human-readable mismatch descriptions (empty = identical).
-    Float comparison is exact equality — "close" is exactly what the
-    engines' bit-identity contract forbids settling for.
-    """
-    mismatches: list[str] = []
-
-    def same(x, y) -> bool:
-        if isinstance(x, float) and isinstance(y, float):
-            return x == y or (np.isnan(x) and np.isnan(y))
-        return x == y
-
-    for attr in ("trace_name", "threads", "core_cycles", "dram_stall_weight"):
-        if not same(getattr(a, attr), getattr(b, attr)):
-            mismatches.append(
-                f"{attr}: {getattr(a, attr)!r} != {getattr(b, attr)!r}"
-            )
-    for attr in ("counts", "components"):
-        da, db = getattr(a, attr), getattr(b, attr)
-        for key in sorted(set(da) | set(db)):
-            if key not in da or key not in db:
-                mismatches.append(f"{attr}[{key}]: present on one side only")
-            elif not same(da[key], db[key]):
-                mismatches.append(f"{attr}[{key}]: {da[key]!r} != {db[key]!r}")
-    return mismatches
-
-
-# ---------------------------------------------------------------------------
 # Guarded simulation (runs in the parent's serial lane and inside workers)
 # ---------------------------------------------------------------------------
 
 def guarded_simulate(
     trace: SyntheticTrace,
     machine: MachineConfig,
-    engine: str = "auto",
-    plan: GuardPlan | None = None,
     faults=None,
     ordinal: int = 0,
     attempt: int = 1,
     tracer=NULL_TRACER,
 ):
-    """Simulate one job with the guardrail checks of ``plan`` applied.
+    """Simulate one job with the always-on guard checks applied.
 
-    The pure function both the executor's serial lane and its workers call
-    (worker events ship back in-band, so nothing here touches process
-    globals beyond the trace's own decode memo).
-
-    Returns:
-        ``(result, events, sentinel_replays)``: the (possibly
-        scalar-fallback) :class:`~repro.sim.cpu.SimResult`, the
-        :class:`GuardEvent` list (empty on the happy path), and how many
-        sentinel dual-replays ran (0 or 1).
-
-    The guard pipeline for a columnar replay:
+    The pure function the executor's serial lane, its workers and the
+    campaign shards call (events ship back in-band, so nothing here touches
+    process globals beyond the trace's own decode memo).
 
     1. apply any columnar chaos faults from ``faults`` (tests only),
-    2. validate the decoded form (checksum + contract) — corrupt decodes
-       are quarantined and re-decoded before replay,
-    3. replay; an engine exception falls back to scalar,
-    4. reject NaN/overflow in the result (fallback to scalar),
-    5. if this ordinal is sentinel-sampled, replay through the scalar
-       reference engine too and compare bit-exactly; a divergence discards
-       the columnar result *and* the trace's memos.
+    2. on the first replay of this decode in this process, validate it
+       (checksum + contract); a corrupt decode is quarantined and
+       re-decoded before replay,
+    3. replay through the columnar engine,
+    4. reject NaN/overflow in the result.
+
+    Returns:
+        ``(result, events, 0)``: the :class:`~repro.sim.cpu.SimResult`,
+        the :class:`GuardEvent` list (empty on the happy path) and a
+        constant ``0``, kept so that callers which unpack a triple (the
+        end-to-end benchmark's probes) keep working.
+
+    Raises:
+        ReplayRejected: The engine raised, or the result failed its
+            integrity scan.  The decode and its memos are quarantined
+            first, so a retry replays a fresh decode.
     """
     from repro.sim.cpu import simulate
 
     events: list[GuardEvent] = []
-    if plan is None or not plan.active or engine == "scalar":
-        return simulate(trace, machine, engine, tracer=tracer), events, 0
-
     tables = trace.replay_tables()
     cols = tables.columnar(trace)
     fired = (
         faults.columnar_faults(trace.name, attempt, ordinal)
-        if faults is not None and hasattr(faults, "columnar_faults")
+        if faults is not None
         else ()
     )
     if "corrupt-column" in fired:
         _corrupt_columns(cols)
 
-    # --- decoded-form validation (every cross-worker re-attach) -----------
-    if plan.level == "paranoid" or not cols.fixpoint_seeds.get(_VALIDATED_KEY):
+    # --- decoded-form validation (once per re-attach) --------------------
+    if not cols.fixpoint_seeds.get(_VALIDATED_KEY):
         problems = validate_columnar(cols)
         if problems:
             events.append(
@@ -441,25 +339,24 @@ def guarded_simulate(
             cols = tables.columnar(trace)
         cols.fixpoint_seeds[_VALIDATED_KEY] = True
 
-    if "poison-memo" in fired:
-        _poison_memo(trace, machine, cols)
-
-    # --- columnar replay, guarded against exceptions ----------------------
-    result = None
-    try:
-        result = simulate(trace, machine, "columnar", tracer=tracer)
-    except Exception as exc:
+    def reject(kind: str, detail: str) -> ReplayRejected:
+        _quarantine_decode(tables, cols)
         events.append(
             GuardEvent(
-                kind="engine-error",
+                kind=kind,
                 workload=trace.name,
                 machine=machine.name,
-                action="fallback-scalar",
-                detail=f"{type(exc).__name__}: {exc}",
+                action="quarantine-retry",
+                detail=detail,
             )
         )
-        _quarantine_decode(tables, cols)
-        return simulate(trace, machine, "scalar"), events, 0
+        return ReplayRejected(events)
+
+    # --- replay, guarded against exceptions ------------------------------
+    try:
+        result = simulate(trace, machine, tracer=tracer)
+    except Exception as exc:
+        raise reject("engine-error", f"{type(exc).__name__}: {exc}") from exc
 
     if "nan-pass" in fired:
         # Chaos: as if a vectorized pass leaked a NaN into the accounting.
@@ -468,36 +365,7 @@ def guarded_simulate(
     # --- NaN/overflow rejection ------------------------------------------
     problems = result.integrity_problems()
     if problems:
-        events.append(
-            GuardEvent(
-                kind="nan-result",
-                workload=trace.name,
-                machine=machine.name,
-                action="fallback-scalar",
-                detail="; ".join(problems[:3]),
-            )
-        )
-        _quarantine_decode(tables, cols)
-        return simulate(trace, machine, "scalar"), events, 0
-
-    # --- divergence sentinel ---------------------------------------------
-    if plan.samples(ordinal):
-        reference = simulate(trace, machine, "scalar")
-        mismatches = compare_results(result, reference)
-        if mismatches:
-            events.append(
-                GuardEvent(
-                    kind="divergence",
-                    workload=trace.name,
-                    machine=machine.name,
-                    action="fallback-scalar",
-                    detail="; ".join(mismatches[:3]),
-                )
-            )
-            _quarantine_decode(tables, cols)
-            return reference, events, 1
-        return result, events, 1
-
+        raise reject("nan-result", "; ".join(problems[:3]))
     return result, events, 0
 
 
@@ -508,39 +376,18 @@ def _quarantine_decode(tables, cols) -> None:
 
 
 def _corrupt_columns(cols) -> None:
-    """Chaos helper: flip bits in the decoded data-side columns in place."""
+    """Chaos helper: a decode that re-attached with bit-flipped columns.
+
+    Flips bits in the data-side columns in place and drops the validated
+    marker, as a fresh re-attach of a corrupt decode would carry none.
+    """
+    cols.fixpoint_seeds.pop(_VALIDATED_KEY, None)
     if cols.mem_line.size:
         cols.mem_line[::3] ^= 0x15
     elif cols.iline_line.size:
         cols.iline_line[::3] ^= 0x15
     else:
         cols.block_seq[:] = cols.block_seq[::-1]
-
-
-def _poison_memo(trace, machine, cols) -> None:
-    """Chaos helper: scramble the decode's verified warm-row memos.
-
-    Warm rows are consumed without per-use verification (they are pure
-    functions of the decode), so a poisoned entry yields a silently
-    divergent replay — exactly what the sentinel exists to catch.  The
-    memo is reset and repopulated with one throwaway replay first, so the
-    poisoned state (and the divergence the sentinel reports) is the same
-    no matter what this process replayed before — decodes are shared
-    process-wide by trace identity.
-    """
-    from repro.sim.cpu import simulate
-
-    cols.fixpoint_seeds.clear()
-    simulate(trace, machine, "columnar")
-    for key, value in list(cols.fixpoint_seeds.items()):
-        if (
-            isinstance(key, tuple)
-            and key
-            and key[0] == "warm"
-            and isinstance(value, np.ndarray)
-            and value.size
-        ):
-            cols.fixpoint_seeds[key] = value + 1
 
 
 # ---------------------------------------------------------------------------

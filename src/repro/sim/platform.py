@@ -108,7 +108,6 @@ class HardwarePlatform:
         executor=None,
         jobs: int | None = None,
         faults=None,
-        engine: str = "auto",
     ):
         if machine is None:
             machine = hardware_a15() if core == "A15" else hardware_a7()
@@ -116,7 +115,6 @@ class HardwarePlatform:
             raise ValueError(f"machine {machine.name} is not a {core} config")
         self.core = core
         self.machine = machine
-        self.engine = engine
         self.trace_instructions = trace_instructions
         self.opps: OppTable = opp_table_for(core)
         self.power_process = PowerGroundTruth(core)
@@ -126,9 +124,7 @@ class HardwarePlatform:
         if executor is None and jobs is not None and jobs != 1:
             from repro.sim.executor import SimExecutor
 
-            executor = SimExecutor(
-                jobs=jobs, cache_dir=cache_dir, faults=faults, engine=engine
-            )
+            executor = SimExecutor(jobs=jobs, cache_dir=cache_dir, faults=faults)
         self.executor = executor
         self._disk_cache = None
         if cache_dir is not None and executor is None:
@@ -155,7 +151,7 @@ class HardwarePlatform:
                 if self._disk_cache is not None:
                     result = self._disk_cache.get(trace, self.machine)
                 if result is None:
-                    result = simulate(trace, self.machine, self.engine)
+                    result = simulate(trace, self.machine)
                     if self._disk_cache is not None:
                         self._disk_cache.put(trace, self.machine, result)
             self._sim_cache[profile.name] = result

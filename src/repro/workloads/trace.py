@@ -124,7 +124,7 @@ class ColumnarTrace:
 
     ``*_pos`` columns give the dynamic block index of each event and
     ``*_intra`` its ordinal within the block's phase; together with a
-    phase code they reconstruct the scalar engine's exact program order.
+    phase code they reconstruct the reference loop's exact program order.
     """
 
     n_dyn: int

@@ -167,7 +167,7 @@ class TestHealthRecord:
 
         health = CollectionHealth(attempted=4, succeeded=4)
         health.record_guard_event(
-            GuardEvent("divergence", "mi-sha", "A15", "fallback-scalar")
+            GuardEvent("nan-result", "mi-sha", "A15", "quarantine-retry")
         )
         health.absorb_guard_events(
             [GuardEvent("decode-corrupt", "mi-fft", "A15", "requarantine-decode")]

@@ -20,7 +20,7 @@ def _traced_run(workloads=("mi-sha",), stream_path=None):
     for name in workloads:
         trace = compile_trace(workload_by_name(name), n_instrs=3_000)
         results.append(
-            simulate(trace, machine, engine="columnar", tracer=tracer)
+            simulate(trace, machine, tracer=tracer)
         )
     return tracer, results
 
@@ -89,7 +89,7 @@ class TestProfileRecords:
 
     def test_untraced_simulation_emits_no_profile_event(self):
         trace = compile_trace(workload_by_name("mi-sha"), n_instrs=3_000)
-        result = simulate(trace, gem5_ex5_big(), engine="columnar")
+        result = simulate(trace, gem5_ex5_big())
         assert result.core_cycles > 0  # the run itself is unaffected
 
 

@@ -56,8 +56,8 @@ def reference_report(sim_cache_dir, tmp_path_factory):
     """The untraced, uninterrupted report the traced resume must match.
 
     Checkpointed like the scenario runs: checkpointed reports render
-    without the wall-clock telemetry table, which is what makes
-    byte-identity possible at all.
+    without the telemetry tables, which count the work this process did
+    and so differ between a resumed run and an uninterrupted one.
     """
     ckpt = str(tmp_path_factory.mktemp("reference-ckpt"))
     return GemStone(_config(sim_cache_dir, checkpoint_dir=ckpt)).report()

@@ -71,8 +71,7 @@ class TestTraceSmoke:
             assert "repro_sim_executor_jobs_run" in handle.read()
 
     def test_tracing_never_changes_the_report(self, tmp_path):
-        # Byte-compare the deterministic rendering: the wall-clock
-        # telemetry table differs between *any* two runs, traced or not.
+        # Byte-compare the analysis sections of the two renderings.
         from repro.core.report import render_full_report
 
         plain = render_full_report(GemStone(_config()), include_telemetry=False)

@@ -254,8 +254,6 @@ def tiny_board(tmp_path_factory):
         power_workloads=profiles,
         trace_instructions=2_000,
         retry=RetryPolicy(max_attempts=2, base_seconds=0.0),
-        engine="scalar",
-        guard_level="off",
     )
     board = CampaignBoard(directory)
     board.create_or_sync(
@@ -267,7 +265,7 @@ def tiny_board(tmp_path_factory):
 class TestWorkerLoop:
     def test_worker_drains_board_and_reuses_results(self, tiny_board):
         report = run_worker(
-            tiny_board, owner="unit", engine="scalar", in_worker=False
+            tiny_board, owner="unit", in_worker=False
         )
         assert report.done == 2
         assert report.errors == 0
@@ -275,7 +273,7 @@ class TestWorkerLoop:
         assert board.all_settled()
         # A second worker finds nothing to do.
         idle = run_worker(
-            tiny_board, owner="late", engine="scalar", in_worker=False
+            tiny_board, owner="late", in_worker=False
         )
         assert idle.claimed == 0
 
@@ -286,7 +284,7 @@ class TestWorkerLoop:
         # done marker.
         os.remove(board._done_path(key))
         report = run_worker(
-            tiny_board, owner="healer", engine="scalar", in_worker=False
+            tiny_board, owner="healer", in_worker=False
         )
         assert report.adopted == 1
         assert report.done == 1
@@ -297,7 +295,7 @@ class TestWorkerLoop:
 class TestCampaignCli:
     def test_worker_and_status_round_trip(self, tiny_board, capsys):
         assert main(["campaign", "worker", "--board", tiny_board,
-                     "--owner", "cli-w", "--engine", "scalar"]) == 0
+                     "--owner", "cli-w"]) == 0
         out = capsys.readouterr().out
         assert "cli-w" in out
         assert main(["campaign", "status", "--board", tiny_board]) == 0

@@ -32,7 +32,7 @@ from repro.sim.campaign import (
     run_worker,
 )
 from repro.sim.executor import RetryPolicy
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import FaultPlan, FaultSpec
 from repro.workloads.suites import workload_by_name
 
 from tests.conftest import SMALL_FREQS
@@ -59,8 +59,6 @@ def _config(faults=None, **overrides):
         trace_instructions=N_INSTRS,
         retry=NO_BACKOFF,
         faults=faults,
-        engine="scalar",
-        guard_level="off",
     )
     defaults.update(overrides)
     return GemStoneConfig(**defaults)
@@ -137,6 +135,30 @@ class TestCleanCampaign:
         _assert_bit_identical(again.gemstone, reference)
 
 
+class TestShardGuardEvents:
+    def test_corrupt_decode_reaches_merged_metrics(self, tmp_path):
+        # One shard job re-attaches a corrupt decode: the guard re-decodes
+        # it in place, the shard counts the event in its own registry, and
+        # the merged campaign snapshot carries the count.  The results
+        # (and so the report) are those of a clean campaign.
+        from repro.obs.merge import merge_board_metrics
+
+        ordinal = next(
+            job.ordinal for job in campaign_jobs(_config())
+            if job.workload == TARGET
+        )
+        faults = FaultPlan((FaultSpec("corrupt-column", job=ordinal),))
+        board_dir = str(tmp_path / "faulty")
+        faulty = run_campaign(_config(faults=faults), board_dir, shards=2)
+        clean = run_campaign(_config(), str(tmp_path / "clean"), shards=2)
+        merged = merge_board_metrics(board_dir)
+        assert merged.value("sim.guard.decode_quarantines") == 1
+        with open(f"{board_dir}/obs/metrics.prom") as handle:
+            assert "repro_sim_guard_decode_quarantines 1" in handle.read()
+        assert not faulty.degraded
+        assert faulty.gemstone.report() == clean.gemstone.report()
+
+
 class TestShardLoss:
     def test_shard_crash_after_store_is_adopted(self, tmp_path, reference):
         # The shard dies between the store write and the done marker; the
@@ -176,7 +198,7 @@ class TestShardLoss:
         }
         victim = multiprocessing.get_context().Process(
             target=_worker_entry,
-            args=(board_dir, "victim", "scalar", "off",
+            args=(board_dir, "victim",
                   FaultPlan.lease_stall(TARGET, seconds=60.0, attempts=2),
                   None, 0.02),
         )
@@ -197,7 +219,7 @@ class TestShardLoss:
             victim.kill()
             victim.join()
         thief = run_worker(
-            board_dir, owner="thief", engine="scalar", in_worker=False
+            board_dir, owner="thief", in_worker=False
         )
         assert thief.stolen >= 1
         assert _journal_events(board_dir).count("lease-stolen") >= 1
@@ -221,7 +243,7 @@ class TestShardLoss:
 
         def stall_worker():
             reports["sleepy"] = run_worker(
-                board_dir, owner="sleepy", engine="scalar",
+                board_dir, owner="sleepy",
                 faults=FaultPlan.lease_stall(
                     TARGET, seconds=1.0, attempts=2
                 ),
@@ -232,7 +254,7 @@ class TestShardLoss:
         thread.start()
         time.sleep(0.35)  # let a stalled lease expire
         reports["peer"] = run_worker(
-            board_dir, owner="peer", engine="scalar", in_worker=False,
+            board_dir, owner="peer", in_worker=False,
             poll_seconds=0.02,
         )
         thread.join()
@@ -304,7 +326,7 @@ class TestIncrementalRecompute:
             campaign_jobs(config),
         )
         partial = run_worker(
-            board_dir, owner="doomed", engine="scalar", max_jobs=2,
+            board_dir, owner="doomed", max_jobs=2,
             in_worker=False,
         )
         assert partial.done == 2
@@ -448,8 +470,7 @@ class TestTraceStitching:
         )
         victim = multiprocessing.get_context().Process(
             target=_worker_entry,
-            args=(board_dir, "victim", "scalar", "off", None,
-                  None, 0.02, True),
+            args=(board_dir, "victim", None, None, 0.02, True),
         )
         victim.start()
         deadline = time.monotonic() + 30.0
@@ -476,7 +497,7 @@ class TestTraceStitching:
         assert any("no seal" in p for p in problems)
         assert any(r.get("name") == "campaign-job" for r in records)
         thief = run_worker(
-            board_dir, owner="thief", engine="scalar", in_worker=False
+            board_dir, owner="thief", in_worker=False
         )
         assert thief.done >= 1
         merged, names = merge_campaign_records(board_dir)
@@ -519,7 +540,7 @@ class TestTraceStitching:
 
         def stall_worker():
             run_worker(
-                board_dir, owner="sleepy", engine="scalar",
+                board_dir, owner="sleepy",
                 faults=FaultPlan.lease_stall(
                     TARGET, seconds=1.0, attempts=2
                 ),
@@ -531,7 +552,7 @@ class TestTraceStitching:
         thread.start()
         time.sleep(0.35)
         peer = run_worker(
-            board_dir, owner="peer", engine="scalar", in_worker=False,
+            board_dir, owner="peer", in_worker=False,
             poll_seconds=0.02, tracer=tracers["peer"],
         )
         thread.join()

@@ -1,12 +1,12 @@
 """Chaos suite: columnar faults against guarded campaigns.
 
-Every scenario asserts the guard layer's core promise: whatever columnar
-fault is injected — corrupt decoded columns, poisoned fixpoint memos, NaNs
-leaking out of a vectorized pass, workers dying over and over on one job,
-worker memory-budget breaches — the campaign's numbers stay *bit-identical*
-to an all-scalar fault-free run, and every intervention is recorded as a
-:class:`~repro.sim.guard.GuardEvent` in :class:`CollectionHealth` and the
-report, never silently absorbed.
+Every scenario asserts the guard layer's core promise: whatever fault is
+injected — corrupt decoded columns (re-decoded in-call), NaNs leaking out
+of a vectorized pass (rejected, then retried on a fresh decode), workers
+dying over and over on one job, worker memory-budget breaches — the
+campaign's numbers stay *bit-identical* to a fault-free run, and every
+intervention is recorded as a :class:`~repro.sim.guard.GuardEvent` in
+:class:`CollectionHealth` and the report, never silently absorbed.
 
 Runs in the default ``make test`` path; ``make test-chaos`` selects it.
 """
@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.pipeline import GemStone, GemStoneConfig
 from repro.core.report import render_collection_health
-from repro.sim.cpu import simulate
+from repro.sim.cpu import simulate_reference
 from repro.sim.executor import RetryPolicy, SimExecutor
 from repro.sim.faults import FaultPlan
 from repro.sim.guard import GuardPlan
@@ -35,11 +35,12 @@ TARGET = "mi-sha"
 
 NO_BACKOFF = RetryPolicy(max_attempts=2, base_seconds=0.0)
 
-#: (fault plan constructor, guard event kind the campaign must record).
+#: (fault plan constructor, guard event kind the campaign must record,
+#: job retries it costs).  A corrupt decode heals in-call; a NaN result is
+#: rejected and its job retried once per machine the workload runs on.
 COLUMNAR_SCENARIOS = (
-    ("corrupt-column", FaultPlan.corrupt_column, "decode-corrupt"),
-    ("poison-memo", FaultPlan.poison_memo, "divergence"),
-    ("nan-pass", FaultPlan.nan_pass, "nan-result"),
+    ("corrupt-column", FaultPlan.corrupt_column, "decode-corrupt", 0),
+    ("nan-pass", FaultPlan.nan_pass, "nan-result", 2),
 )
 
 
@@ -47,7 +48,7 @@ def _profiles():
     return tuple(workload_by_name(name) for name in WORKLOADS)
 
 
-def _gemstone(faults=None, guard_level="paranoid", engine="auto", **overrides):
+def _gemstone(faults=None, **overrides):
     defaults = dict(
         core="A15",
         workloads=_profiles(),
@@ -56,8 +57,6 @@ def _gemstone(faults=None, guard_level="paranoid", engine="auto", **overrides):
         trace_instructions=TRACE_INSTRUCTIONS,
         retry=NO_BACKOFF,
         faults=faults,
-        engine=engine,
-        guard_level=guard_level,
     )
     defaults.update(overrides)
     return GemStone(GemStoneConfig(**defaults))
@@ -65,8 +64,8 @@ def _gemstone(faults=None, guard_level="paranoid", engine="auto", **overrides):
 
 @pytest.fixture(scope="module")
 def reference():
-    """The all-scalar, guard-off dataset every scenario must reproduce."""
-    return _gemstone(engine="scalar", guard_level="off").dataset
+    """The fault-free dataset every scenario must reproduce."""
+    return _gemstone().dataset
 
 
 def _assert_rows_bit_identical(dataset, reference):
@@ -83,18 +82,19 @@ def _assert_rows_bit_identical(dataset, reference):
 
 class TestColumnarFaultHealing:
     @pytest.mark.parametrize(
-        "constructor, kind",
-        [(c, k) for _, c, k in COLUMNAR_SCENARIOS],
-        ids=[name for name, _, _ in COLUMNAR_SCENARIOS],
+        "constructor, kind, retries",
+        [(c, k, r) for _, c, k, r in COLUMNAR_SCENARIOS],
+        ids=[name for name, _, _, _ in COLUMNAR_SCENARIOS],
     )
     def test_campaign_bit_identical_with_fault_recorded(
-        self, constructor, kind, reference
+        self, constructor, kind, retries, reference
     ):
         gs = _gemstone(faults=constructor(TARGET))
         dataset = gs.dataset
         _assert_rows_bit_identical(dataset, reference)
-        # Nothing failed — the guard healed in place...
+        # Nothing failed — the guard re-decoded or the retry healed...
         assert dataset.health.failed == 0
+        assert gs.executor.telemetry.job_retries == retries
         # ...and left a structured record of every intervention.
         kinds = {e.kind for e in dataset.health.guard_events}
         assert kinds == {kind}
@@ -141,24 +141,24 @@ class TestColumnarFaultHealing:
 
 
 class TestKillAndResume:
-    def test_resume_through_guard_fallback_is_byte_identical(self, tmp_path):
+    def test_resume_through_guard_retry_is_byte_identical(self, tmp_path):
         # Each lineage keeps an on-disk sim cache so the resumed process
         # memo-hits the phases the original already simulated, exactly as
         # the uninterrupted process memo-hits them in memory.
-        faults = FaultPlan.poison_memo(TARGET)
+        faults = FaultPlan.nan_pass(TARGET)
         reference = _gemstone(
             faults=faults,
             checkpoint_dir=str(tmp_path / "ref-ckpt"),
             cache_dir=str(tmp_path / "ref-cache"),
         ).report()
-        assert "[divergence]" in reference
+        assert "[nan-result]" in reference
 
         directory = str(tmp_path / "ckpt")
         cache_dir = str(tmp_path / "cache")
         victim = _gemstone(
             faults=faults, checkpoint_dir=directory, cache_dir=cache_dir
         )
-        victim.dataset  # guard fallback fires in this phase
+        victim.dataset  # the guard rejects and retries in this phase
         assert victim.health.guard_events
         del victim  # SIGKILL equivalent: checkpoints are all that survive
 
@@ -189,7 +189,7 @@ class TestPoolScenarios:
 
     @pytest.fixture(scope="class")
     def golden(self, traces, machine):
-        return [simulate(t, machine, "scalar") for t in traces]
+        return [simulate_reference(t, machine) for t in traces]
 
     def _assert_same(self, results, golden):
         for result, ref in zip(results, golden):
@@ -197,12 +197,59 @@ class TestPoolScenarios:
             assert result.core_cycles == ref.core_cycles
             assert result.components == ref.components
 
+    def test_serial_nan_rejection_retried_bit_identical(
+        self, traces, machine, golden
+    ):
+        executor = SimExecutor(
+            jobs=1, retry=NO_BACKOFF, faults=FaultPlan.nan_pass(TARGET)
+        )
+        results = executor.run_many([(t, machine) for t in traces])
+        self._assert_same(results, golden)
+        assert executor.telemetry.job_retries == 1
+        assert executor.telemetry.jobs_failed == 0
+        assert [e.kind for e in executor.guard.events] == ["nan-result"]
+        assert executor.guard.telemetry.nan_rejections == 1
+
+    def test_worker_rejection_ships_events_and_recovers(
+        self, traces, machine, golden
+    ):
+        # The worker raises ReplayRejected; its events cross the pool and
+        # the job reruns in the parent on a fresh decode.
+        executor = SimExecutor(
+            jobs=2, retry=NO_BACKOFF, faults=FaultPlan.nan_pass(TARGET)
+        )
+        results = executor.run_many([(t, machine) for t in traces])
+        self._assert_same(results, golden)
+        assert executor.telemetry.jobs_isolated == 1
+        assert executor.telemetry.jobs_failed == 0
+        assert [e.kind for e in executor.guard.events] == ["nan-result"]
+        assert executor.guard.events[0].workload == TARGET
+        assert executor.guard.telemetry.nan_rejections == 1
+
+    def test_rejection_without_retry_budget_fails_the_job(
+        self, traces, machine, golden
+    ):
+        executor = SimExecutor(
+            jobs=1,
+            retry=RetryPolicy(max_attempts=1),
+            faults=FaultPlan.nan_pass(TARGET),
+        )
+        results = executor.run_many(
+            [(t, machine) for t in traces], raise_on_error=False
+        )
+        assert results[0] is None
+        self._assert_same(results[1:], golden[1:])
+        (failure,) = executor.last_failures
+        assert failure.trace_name == TARGET
+        assert failure.error.startswith("ReplayRejected")
+        assert executor.telemetry.jobs_failed == 1
+        assert [e.kind for e in executor.guard.events] == ["nan-result"]
+
     def test_worker_oom_isolated_bit_identical(self, traces, machine, golden):
         executor = SimExecutor(
             jobs=2,
             retry=NO_BACKOFF,
             faults=FaultPlan.worker_oom(TARGET),
-            guard=GuardPlan.from_level("sentinel"),
         )
         results = executor.run_many([(t, machine) for t in traces])
         self._assert_same(results, golden)
@@ -219,7 +266,7 @@ class TestPoolScenarios:
             jobs=2,
             retry=NO_BACKOFF,
             faults=FaultPlan.crash_workload(TARGET, attempts=10),
-            guard=GuardPlan(level="sentinel", poison_threshold=2),
+            guard=GuardPlan(poison_threshold=2),
         )
         # Two batches each lose a worker to the poison job (the batches
         # themselves fail: the crash outlives the retry budget).

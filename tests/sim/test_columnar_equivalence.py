@@ -1,7 +1,8 @@
-"""Randomized scalar-vs-columnar equivalence and simulator-reuse tests.
+"""Randomized engine-vs-oracle equivalence and simulator-reuse tests.
 
-The columnar replay engine must be *bit-identical* to the scalar model —
-not approximately equal — for every trace and machine.  The golden suite
+The columnar replay engine must be *bit-identical* to the scalar reference
+loop (:func:`~repro.sim.cpu.simulate_reference`) — not approximately
+equal — for every trace and machine.  The golden suite
 pins a handful of exact values; this module sweeps the space: ~50 seeded
 randomized traces (workload profile, thread count, trace seed and length
 all drawn from one fixed-seed RNG) crossed with randomized machine
@@ -20,7 +21,12 @@ import random
 
 import pytest
 
-from repro.sim.cpu import CpuSimulator, simulate, simulate_dvfs_sweep
+from repro.sim.cpu import (
+    CpuSimulator,
+    simulate,
+    simulate_dvfs_sweep,
+    simulate_reference,
+)
 from repro.sim.machine import machine_by_name
 from repro.workloads.suites import all_workloads
 from repro.workloads.trace import compile_trace
@@ -73,18 +79,17 @@ def _cases():
 )
 def test_columnar_matches_scalar(profile, n_instrs, seed, machine):
     trace = compile_trace(profile, n_instrs, seed=seed)
-    scalar = simulate(trace, machine, engine="scalar")
-    columnar = simulate(trace, machine, engine="columnar")
+    scalar = simulate_reference(trace, machine)
+    columnar = simulate(trace, machine)
     _assert_bit_identical(scalar, columnar)
 
     # A repeat replay hits the verified memos on the decoded columnar
     # form; it must reproduce the first run exactly.
-    again = simulate(trace, machine, engine="columnar")
+    again = simulate(trace, machine)
     _assert_bit_identical(columnar, again)
 
 
-@pytest.mark.parametrize("engine", ["scalar", "columnar"])
-def test_simulator_reuse_bit_identical_to_cold(engine):
+def test_simulator_reuse_bit_identical_to_cold():
     """Satellite contract: reset-and-reuse == cold construction."""
     machine_a = machine_by_name("hw-a15")
     machine_b = machine_by_name("gem5-ex5-big")
@@ -92,19 +97,20 @@ def test_simulator_reuse_bit_identical_to_cold(engine):
     trace_a = compile_trace(profiles[3], 6_000)
     trace_b = compile_trace(profiles[11], 6_000)
 
-    reused = CpuSimulator(machine_a, engine=engine)
+    reused = CpuSimulator(machine_a)
     warm_a = reused.run(trace_a)  # populates state
     warm_b = reused.run(trace_b)  # reset() + reuse
     warm_a2 = reused.run(trace_a)  # reset() + reuse, same trace again
 
-    _assert_bit_identical(warm_a, CpuSimulator(machine_a, engine=engine).run(trace_a))
-    _assert_bit_identical(warm_b, CpuSimulator(machine_a, engine=engine).run(trace_b))
+    _assert_bit_identical(warm_a, CpuSimulator(machine_a).run(trace_a))
+    _assert_bit_identical(warm_b, CpuSimulator(machine_a).run(trace_b))
+    _assert_bit_identical(warm_a, simulate_reference(trace_a, machine_a))
     _assert_bit_identical(warm_a, warm_a2)
 
     # One trace, many configs: a different simulator sharing the decoded
     # trace must agree with a cold run on its own machine.
-    swept = CpuSimulator(machine_b, engine=engine).run(trace_a)
-    _assert_bit_identical(swept, simulate(trace_a, machine_b, engine=engine))
+    swept = CpuSimulator(machine_b).run(trace_a)
+    _assert_bit_identical(swept, simulate(trace_a, machine_b))
 
 
 @pytest.mark.parametrize("machine_name", ["hw-a7", "hw-a15"])
@@ -114,7 +120,7 @@ def test_dvfs_sweep_matches_single_replays(machine_name):
     trace = compile_trace(list(all_workloads())[7], 6_000)
     points = simulate_dvfs_sweep(trace, machine)
     assert len(points) == 4  # the paper's per-cluster sweep
-    reference = simulate(trace, machine, engine="scalar")
+    reference = simulate_reference(trace, machine)
     for point in points:
         _assert_bit_identical(point.result, reference)
         assert point.time_seconds == reference.time_seconds(point.freq_hz)

@@ -4,7 +4,7 @@
 (trace, machine) pairs covering both cores' hardware and gem5 machine
 configs; the first two cases were captured before the vectorized replay
 fast paths landed, and every case's values were captured with the scalar
-engine.  Every optimisation of the hot loop, the pre-warm stage or the
+reference loop (now :func:`~repro.sim.cpu.simulate_reference`).  Every optimisation of the hot loop, the pre-warm stage or the
 micro-architectural components must keep these values *bit-identical* —
 floats are compared with ``==``, not a tolerance, which is exact because
 JSON round-trips Python floats losslessly (repr shortest-roundtrip).

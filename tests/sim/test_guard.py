@@ -1,28 +1,31 @@
 """Unit tests for :mod:`repro.sim.guard`.
 
-Plans and sampling, bit-exact result comparison, result/decode integrity
-contracts, the guarded-simulate fallback matrix, guardrail accounting and
-the campaign watchdog.  Campaign-level chaos scenarios live in
+Plans, result/decode integrity contracts, the always-on checks of
+guarded simulation (re-decode of a corrupt decode, rejection and retry of
+a NaN result or an engine error), guardrail accounting and the campaign
+watchdog.  Campaign-level chaos scenarios live in
 ``test_chaos_columnar.py``.
 """
 
 from __future__ import annotations
 
+import pickle
 import time
 from dataclasses import replace
 
 import pytest
 
-from repro.sim.cpu import simulate
+import repro.sim.cpu as cpu
+import repro.sim.guard as guard
+from repro.sim.cpu import simulate_reference
 from repro.sim.faults import FaultPlan
 from repro.sim.guard import (
-    SENTINEL_INTERVAL,
-    CampaignWatchdog,
+    _VALIDATED_KEY,
     GuardEvent,
     GuardPlan,
     GuardRail,
+    ReplayRejected,
     check_memory_budget,
-    compare_results,
     guarded_simulate,
     parent_rss_mb,
 )
@@ -31,8 +34,6 @@ from repro.workloads.suites import workload_by_name
 from repro.workloads.trace import columnar_checksum, compile_trace, validate_columnar
 
 N_INSTRS = 6_000
-
-PARANOID = GuardPlan.from_level("paranoid")
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +48,15 @@ def machine():
 
 @pytest.fixture(scope="module")
 def golden(trace, machine):
-    """The scalar reference result everything must stay bit-identical to."""
-    return simulate(trace, machine, "scalar")
+    """The reference-loop result everything must stay bit-identical to."""
+    return simulate_reference(trace, machine)
 
 
 def _assert_same(a, b):
-    assert compare_results(a, b) == []
+    assert a.counts == b.counts
+    assert a.core_cycles == b.core_cycles
+    assert a.dram_stall_weight == b.dram_stall_weight
+    assert a.components == b.components
 
 
 def _fresh_decode(trace):
@@ -63,86 +67,44 @@ def _fresh_decode(trace):
 
 
 class TestGuardPlan:
-    def test_unknown_level_rejected(self):
-        with pytest.raises(ValueError, match="unknown guard level"):
-            GuardPlan(level="bogus")
-
     def test_invalid_budgets_rejected(self):
-        with pytest.raises(ValueError, match="sentinel_interval"):
-            GuardPlan(level="sentinel", sentinel_interval=0)
         with pytest.raises(ValueError, match="poison_threshold"):
-            GuardPlan(level="sentinel", poison_threshold=0)
-
-    def test_off_is_inactive(self):
-        plan = GuardPlan.off()
-        assert not plan.active
-        assert not plan.supervises()
-        assert not any(plan.samples(i) for i in range(64))
-
-    def test_interval_resolution(self):
-        assert GuardPlan.from_level("sentinel").interval == SENTINEL_INTERVAL
-        assert GuardPlan.from_level("paranoid").interval == 1
-        assert GuardPlan(level="sentinel", sentinel_interval=7).interval == 7
-
-    def test_sampling_is_deterministic_and_seeded(self):
-        plan = GuardPlan(level="sentinel", sentinel_interval=8)
-        sampled = [i for i in range(64) if plan.samples(i)]
-        assert sampled == list(range(0, 64, 8))
-        assert sampled == [i for i in range(64) if plan.samples(i)]
-        shifted = replace(plan, seed=3)
-        assert [i for i in range(64) if shifted.samples(i)] == list(range(5, 64, 8))
-
-    def test_paranoid_samples_every_ordinal(self):
-        assert all(PARANOID.samples(i) for i in range(16))
+            GuardPlan(poison_threshold=0)
 
     def test_supervises_only_with_a_budget(self):
-        assert not GuardPlan.from_level("sentinel").supervises()
-        assert GuardPlan(level="sentinel", heartbeat_seconds=1.0).supervises()
-        assert GuardPlan(level="sentinel", batch_deadline_seconds=1.0).supervises()
-        assert GuardPlan(level="sentinel", memory_budget_mb=1.0).supervises()
-        assert not GuardPlan(level="off", heartbeat_seconds=1.0).supervises()
+        assert not GuardPlan().supervises()
+        assert GuardPlan(heartbeat_seconds=1.0).supervises()
+        assert GuardPlan(batch_deadline_seconds=1.0).supervises()
+        assert GuardPlan(memory_budget_mb=1.0).supervises()
 
 
 class TestGuardEvent:
     def test_summary_wording(self):
         event = GuardEvent(
-            kind="divergence",
+            kind="nan-result",
             workload="mi-sha",
             machine="A15",
-            action="fallback-scalar",
-            detail="core_cycles: 1.0 != 2.0",
+            action="quarantine-retry",
+            detail="core_cycles is NaN",
         )
         assert event.summary() == (
-            "[divergence] mi-sha on A15 -> fallback-scalar "
-            "(core_cycles: 1.0 != 2.0)"
+            "[nan-result] mi-sha on A15 -> quarantine-retry "
+            "(core_cycles is NaN)"
         )
         bare = GuardEvent("deadline", "*", "*", "observe")
         assert bare.summary() == "[deadline] * on * -> observe"
 
 
-class TestCompareResults:
-    def test_identical_results_match(self, golden):
-        assert compare_results(golden, golden) == []
-
-    def test_nan_equals_nan(self, golden):
-        a = replace(golden, core_cycles=float("nan"))
-        b = replace(golden, core_cycles=float("nan"))
-        assert compare_results(a, b) == []
-
-    def test_scalar_field_mismatch_reported(self, golden):
-        tweaked = replace(golden, core_cycles=golden.core_cycles + 1.0)
-        mismatches = compare_results(golden, tweaked)
-        assert len(mismatches) == 1
-        assert mismatches[0].startswith("core_cycles:")
-
-    def test_mapping_mismatches_reported(self, golden):
-        counts = dict(golden.counts)
-        key = sorted(counts)[0]
-        counts[key] += 1
-        counts["phantom"] = 9
-        mismatches = compare_results(golden, replace(golden, counts=counts))
-        assert any(f"counts[{key}]" in m for m in mismatches)
-        assert any("present on one side only" in m for m in mismatches)
+class TestReplayRejected:
+    def test_carries_events_through_pickle(self):
+        events = (
+            GuardEvent("decode-corrupt", "w", "m", "requarantine-decode"),
+            GuardEvent("nan-result", "w", "m", "quarantine-retry", "NaN"),
+        )
+        exc = pickle.loads(pickle.dumps(ReplayRejected(events)))
+        assert isinstance(exc, ReplayRejected)
+        assert exc.events == events
+        assert str(exc) == events[-1].summary()
 
 
 class TestResultIntegrity:
@@ -181,101 +143,102 @@ class TestDecodeContract:
 
 
 class TestGuardedSimulate:
-    def test_off_plan_is_a_passthrough(self, trace, machine, golden):
-        result, events, sentinels = guarded_simulate(trace, machine)
-        assert events == [] and sentinels == 0
+    def test_clean_run_returns_the_engine_result(self, trace, machine, golden):
+        result, events, zero = guarded_simulate(trace, machine)
+        assert events == [] and zero == 0
         _assert_same(result, golden)
 
-    def test_scalar_engine_bypasses_guards(self, trace, machine, golden):
-        result, events, sentinels = guarded_simulate(
-            trace, machine, engine="scalar", plan=PARANOID
-        )
-        assert events == [] and sentinels == 0
-        _assert_same(result, golden)
+    def test_decode_validated_once_per_attach(
+        self, trace, machine, monkeypatch
+    ):
+        calls = []
 
-    def test_clean_paranoid_run_dual_replays(self, trace, machine, golden):
-        result, events, sentinels = guarded_simulate(
-            trace, machine, plan=PARANOID
-        )
-        assert events == []
-        assert sentinels == 1
-        _assert_same(result, golden)
+        def counting(cols):
+            calls.append(cols)
+            return validate_columnar(cols)
 
-    def test_unsampled_ordinal_skips_the_sentinel(self, trace, machine, golden):
-        plan = GuardPlan(level="sentinel", sentinel_interval=1000)
-        result, events, sentinels = guarded_simulate(
-            trace, machine, plan=plan, ordinal=1
-        )
-        assert events == [] and sentinels == 0
-        _assert_same(result, golden)
+        monkeypatch.setattr(guard, "validate_columnar", counting)
+        _fresh_decode(trace)
+        guarded_simulate(trace, machine)
+        guarded_simulate(trace, machine)
+        assert len(calls) == 1
+        assert trace.replay_tables().columnar(trace).fixpoint_seeds[
+            _VALIDATED_KEY
+        ]
 
     def test_corrupt_decode_requarantined(self, trace, machine, golden):
         faults = FaultPlan.corrupt_column("mi-sha")
+        # Validate the current attach first: a corrupt re-attach must be
+        # caught even after an earlier clean validation.
+        guarded_simulate(trace, machine)
         result, events, _ = guarded_simulate(
-            trace, machine, plan=PARANOID, faults=faults, ordinal=0
+            trace, machine, faults=faults, ordinal=0
         )
         assert [e.kind for e in events] == ["decode-corrupt"]
         assert events[0].action == "requarantine-decode"
         _assert_same(result, golden)
         # The re-decode healed in place: the next attempt runs clean.
         result, events, _ = guarded_simulate(
-            trace, machine, plan=PARANOID, faults=faults, ordinal=0, attempt=2
+            trace, machine, faults=faults, ordinal=0, attempt=2
         )
         assert events == []
         _assert_same(result, golden)
 
-    def test_poisoned_memo_caught_by_sentinel(self, trace, machine, golden):
-        faults = FaultPlan.poison_memo("mi-sha")
-        result, events, sentinels = guarded_simulate(
-            trace, machine, plan=PARANOID, faults=faults, ordinal=0
-        )
-        assert [e.kind for e in events] == ["divergence"]
-        assert events[0].action == "fallback-scalar"
-        assert sentinels == 1
-        _assert_same(result, golden)
-        # The divergence quarantined the decode and its memos.
-        result, events, _ = guarded_simulate(
-            trace, machine, plan=PARANOID, faults=faults, ordinal=0, attempt=2
-        )
-        assert events == []
-        _assert_same(result, golden)
-
-    def test_nan_result_rejected(self, trace, machine, golden):
+    def test_nan_result_rejected_then_retry_heals(self, trace, machine, golden):
         faults = FaultPlan.nan_pass("mi-sha")
+        with pytest.raises(ReplayRejected) as caught:
+            guarded_simulate(trace, machine, faults=faults, ordinal=0)
+        assert [e.kind for e in caught.value.events] == ["nan-result"]
+        assert caught.value.events[0].action == "quarantine-retry"
+        # The decode was quarantined, so the retry replays a fresh one.
+        assert trace.replay_tables()._columnar is None
         result, events, _ = guarded_simulate(
-            trace, machine, plan=PARANOID, faults=faults, ordinal=0
+            trace, machine, faults=faults, ordinal=0, attempt=2
         )
-        assert [e.kind for e in events] == ["nan-result"]
+        assert events == []
         _assert_same(result, golden)
 
-    def test_faults_target_their_job_only(self, trace, machine, golden):
-        faults = FaultPlan.corrupt_column("mi-qsort")
+    def test_engine_error_rejected(self, trace, machine, monkeypatch):
+        def broken(*args, **kwargs):
+            raise IndexError("pass overran its column")
+
+        monkeypatch.setattr(cpu, "simulate", broken)
+        with pytest.raises(ReplayRejected) as caught:
+            guarded_simulate(trace, machine)
+        (event,) = caught.value.events
+        assert event.kind == "engine-error"
+        assert "IndexError" in event.detail
+        assert isinstance(caught.value.__cause__, IndexError)
+
+    def test_faults_target_their_job_only(self, trace, machine):
+        faults = FaultPlan.corrupt_column("mi-qsort") | FaultPlan.nan_pass(
+            "mi-qsort"
+        )
         _, events, _ = guarded_simulate(
-            trace, machine, plan=PARANOID, faults=faults, ordinal=0
+            trace, machine, faults=faults, ordinal=0
         )
         assert events == []
 
 
 class TestGuardRail:
     def test_record_routes_to_counters(self):
-        rail = GuardRail(PARANOID)
-        rail.record(GuardEvent("divergence", "w", "m", "fallback-scalar"))
+        rail = GuardRail()
+        rail.record(GuardEvent("nan-result", "w", "m", "quarantine-retry"))
         rail.record(GuardEvent("decode-corrupt", "w", "m", "requarantine-decode"))
-        assert rail.telemetry.events == 2
-        assert rail.telemetry.divergences == 1
+        rail.record(GuardEvent("engine-error", "w", "m", "quarantine-retry"))
+        assert rail.telemetry.events == 3
+        assert rail.telemetry.nan_rejections == 1
         assert rail.telemetry.decode_quarantines == 1
-        # Only genuine result replacements count as fallbacks.
-        assert rail.telemetry.fallbacks == 1
-        assert len(rail.events) == 2
+        assert rail.telemetry.engine_errors == 1
+        assert len(rail.events) == 3
 
     def test_absorb_worker_payload(self):
-        rail = GuardRail(PARANOID)
-        shipped = (GuardEvent("nan-result", "w", "m", "fallback-scalar"),)
-        rail.absorb(shipped, sentinel_replays=1)
-        rail.absorb((), sentinel_replays=1)
-        assert rail.telemetry.sentinel_replays == 2
-        assert rail.telemetry.nan_fallbacks == 1
-        assert [e.kind for e in rail.events] == ["nan-result"]
+        rail = GuardRail()
+        shipped = (GuardEvent("decode-corrupt", "w", "m", "requarantine-decode"),)
+        rail.absorb(shipped)
+        rail.absorb(())
+        assert rail.telemetry.decode_quarantines == 1
+        assert [e.kind for e in rail.events] == ["decode-corrupt"]
 
 
 class TestMemoryBudget:
@@ -284,10 +247,10 @@ class TestMemoryBudget:
 
     def test_no_budget_never_raises(self):
         check_memory_budget(None)
-        check_memory_budget(GuardPlan.from_level("sentinel"))
+        check_memory_budget(GuardPlan())
 
     def test_breached_budget_raises(self):
-        plan = GuardPlan(level="sentinel", memory_budget_mb=0.001)
+        plan = GuardPlan(memory_budget_mb=0.001)
         with pytest.raises(MemoryError, match="guard budget"):
             check_memory_budget(plan)
 
@@ -303,7 +266,7 @@ def _wait_for(predicate, timeout=2.0):
 
 class TestCampaignWatchdog:
     def test_poison_accounting(self):
-        rail = GuardRail(GuardPlan(level="sentinel", poison_threshold=2))
+        rail = GuardRail(GuardPlan(poison_threshold=2))
         dog = rail.watchdog
         assert not dog.is_poisoned("mi-sha@A15")
         assert dog.record_worker_kill("mi-sha@A15") == 1
@@ -313,7 +276,7 @@ class TestCampaignWatchdog:
         assert not dog.is_poisoned("mi-qsort@A15")
 
     def test_circuit_break_announces_once(self):
-        rail = GuardRail(PARANOID)
+        rail = GuardRail()
         dog = rail.watchdog
         dog.record_worker_kill("mi-sha@A15")
         dog.circuit_break("mi-sha", "A15", "mi-sha@A15")
@@ -323,7 +286,7 @@ class TestCampaignWatchdog:
         assert "killed 1 worker(s)" in rail.events[0].detail
 
     def test_no_thread_without_budgets(self):
-        rail = GuardRail(GuardPlan.from_level("sentinel"))
+        rail = GuardRail()
         rail.watchdog.batch_started()
         try:
             assert rail.watchdog._thread is None
@@ -332,7 +295,6 @@ class TestCampaignWatchdog:
 
     def test_budget_breaches_are_observed(self):
         plan = GuardPlan(
-            level="sentinel",
             heartbeat_seconds=0.01,
             batch_deadline_seconds=0.01,
             memory_budget_mb=0.001,

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.sim.cpu import simulate
+from repro.sim.cpu import simulate, simulate_reference
 from repro.sim.gem5 import Gem5Simulation
 from repro.sim.machine import gem5_ex5_big, hardware_a15
 from repro.sim.platform import HardwarePlatform
@@ -268,7 +268,7 @@ class TestAdvisoryLock:
         # The locked write path must still round-trip and quarantine
         # exactly as before.
         machine = hardware_a15()
-        result = simulate(trace, machine, "scalar")
+        result = simulate_reference(trace, machine)
         cache.put(trace, machine, result)
         key = cache_key(trace, machine)
         assert cache.verify(key)
@@ -279,7 +279,7 @@ class TestVerify:
         machine = hardware_a15()
         key = cache_key(trace, machine)
         assert not cache.verify(key)          # missing
-        cache.put(trace, machine, simulate(trace, machine, "scalar"))
+        cache.put(trace, machine, simulate_reference(trace, machine))
         assert cache.verify(key)              # intact
         with open(cache._path(key), "r+") as handle:
             handle.write("garbage")
@@ -291,7 +291,7 @@ class TestShardedStore:
     def test_round_trip_and_layout(self, tmp_path, trace):
         store = ShardedResultStore(str(tmp_path / "store"), prefix_chars=2)
         machine = hardware_a15()
-        result = simulate(trace, machine, "scalar")
+        result = simulate_reference(trace, machine)
         store.put(trace, machine, result)
         key = cache_key(trace, machine)
         assert store.verify(key)
@@ -307,7 +307,7 @@ class TestShardedStore:
     def test_entries_relocatable_from_flat_cache(self, tmp_path, trace):
         machine = hardware_a15()
         flat = SimResultCache(str(tmp_path / "flat"))
-        flat.put(trace, machine, simulate(trace, machine, "scalar"))
+        flat.put(trace, machine, simulate_reference(trace, machine))
         key = cache_key(trace, machine)
         store = ShardedResultStore(str(tmp_path / "store"), prefix_chars=2)
         os.makedirs(os.path.join(str(tmp_path / "store"), key[:2]),
@@ -322,9 +322,9 @@ class TestShardedStore:
     def test_clear_spans_shards(self, tmp_path, trace):
         store = ShardedResultStore(str(tmp_path / "store"))
         machine = hardware_a15()
-        store.put(trace, machine, simulate(trace, machine, "scalar"))
+        store.put(trace, machine, simulate_reference(trace, machine))
         other = compile_trace(workload_by_name("mi-fft"), 6_000)
-        store.put(other, machine, simulate(other, machine, "scalar"))
+        store.put(other, machine, simulate_reference(other, machine))
         assert store.clear() == 2
         assert not store.verify(cache_key(trace, machine))
 
