@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-chaos test-dist trace-smoke trace-campaign-smoke bench bench-smoke bench-replay bench-campaign bench-lint bench-prof lint check
+.PHONY: test test-chaos test-dist trace-smoke trace-campaign-smoke bench bench-smoke bench-replay bench-campaign bench-lint bench-prof bench-e2e lint check
 
 # Tier-1: the full unit/integration suite (includes the chaos scenarios).
 test:
@@ -68,6 +68,17 @@ bench-lint:
 # of simulated cycles; refreshes BENCH_prof.json at the repo root.
 bench-prof:
 	$(PYTHON) -m pytest -q -s benchmarks/test_bench_profiler_overhead.py
+
+# End-to-end report benchmark (perfbench/): its self-test, then every
+# metric by name plus the traced layer table for each workload declared
+# in BENCHMARK.json (an untraced and a traced run each, about 2 minutes
+# per workload).  Writes no BENCH_*.json.
+E2E_WORKLOADS = $(shell $(PYTHON) -c "import json; print(' '.join(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))")
+bench-e2e:
+	$(PYTHON) -m pytest -q perfbench
+	@for workload in $(E2E_WORKLOADS); do \
+		$(PYTHON) perfbench/show.py --workload $$workload --seed 0 || exit 1; \
+	done
 
 # Full paper-figure benchmark suite, including the throughput benchmark.
 bench:

@@ -23,6 +23,7 @@ import time
 
 import pytest
 
+import repro.workloads.trace as trace_mod
 from benchmarks.conftest import paper_row, print_header
 from repro.core.pipeline import GemStoneConfig
 from repro.sim.campaign import run_campaign
@@ -70,7 +71,10 @@ def test_bench_campaign_scaling(tmp_path):
     rows = []
     for shards in SHARD_COUNTS:
         # A fresh board per point: every run pays the same sync, claim
-        # and simulation costs from zero.
+        # and simulation costs from zero.  Traces are compiled once per
+        # process, so the memo is emptied too: otherwise only the first
+        # point would compile its traces.
+        trace_mod._TRACE_MEMO.clear()
         elapsed, status = _drain_seconds(
             str(tmp_path / f"board-{shards}"), shards
         )

@@ -3,8 +3,9 @@
 GemStone's workflow (Section VII) reruns the whole evaluation after every
 model tweak, so cold dataset collection is the dominant wall-clock cost of
 the tool.  This benchmark measures a cold ``collect_validation_dataset``
-pass — every (workload x machine) simulation recomputed — serially and
-through the process-pool executor, prints traces/sec and instrs/sec for
+pass — every (workload x machine) simulation recomputed — with both
+engines on a serial ``SimExecutor(jobs=1)`` and on a process-pool
+``SimExecutor(jobs=4)``, prints traces/sec and instrs/sec for
 each, and asserts the two datasets are bit-identical.
 
 The >=2x target for ``jobs=4`` assumes >=4 usable cores; on smaller hosts
@@ -17,8 +18,10 @@ from __future__ import annotations
 import os
 import time
 
+import repro.workloads.trace as trace_mod
 from benchmarks.conftest import paper_row, print_header
 from repro.core.validation import collect_validation_dataset
+from repro.sim.executor import SimExecutor
 from repro.sim.gem5 import Gem5Simulation
 from repro.sim.machine import gem5_ex5_big
 from repro.sim.platform import HardwarePlatform
@@ -30,13 +33,25 @@ FREQS = (1000e6,)
 
 
 def _cold_collect(jobs: int):
-    """One cold collection pass; returns (dataset, wall_seconds, n_sims)."""
+    """One cold collection pass; returns (dataset, wall_seconds, n_sims).
+
+    Both engines simulate through one ``SimExecutor(jobs=jobs)``.  Traces
+    are compiled once per process, so the memo is emptied first: each
+    pass then compiles its own traces inside the clock, as a cold run
+    does.
+    """
+    trace_mod._TRACE_MEMO.clear()
     profiles = tuple(validation_workloads())[:N_WORKLOADS]
-    platform = HardwarePlatform("A15", trace_instructions=TRACE_INSTRUCTIONS)
-    gem5 = Gem5Simulation(gem5_ex5_big(), trace_instructions=TRACE_INSTRUCTIONS)
+    executor = SimExecutor(jobs=jobs)
+    platform = HardwarePlatform(
+        "A15", trace_instructions=TRACE_INSTRUCTIONS, executor=executor
+    )
+    gem5 = Gem5Simulation(
+        gem5_ex5_big(), trace_instructions=TRACE_INSTRUCTIONS, executor=executor
+    )
     started = time.perf_counter()
     dataset = collect_validation_dataset(
-        platform, gem5, profiles, FREQS, with_power=False, jobs=jobs
+        platform, gem5, profiles, FREQS, with_power=False
     )
     wall = time.perf_counter() - started
     return dataset, wall, 2 * len(profiles)

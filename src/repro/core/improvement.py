@@ -24,7 +24,7 @@ import numpy as np
 from repro.sim.cpu import simulate
 from repro.sim.machine import MachineConfig
 from repro.workloads.profile import WorkloadProfile
-from repro.workloads.trace import SyntheticTrace, compile_trace
+from repro.workloads.trace import SyntheticTrace, cached_trace
 
 #: A candidate fix: name plus a pure transformation of the machine config.
 Fix = Callable[[MachineConfig], MachineConfig]
@@ -124,7 +124,7 @@ def iterative_improvement(
     if not fixes:
         raise ValueError("no candidate fixes")
 
-    traces = [compile_trace(w, trace_instructions) for w in workloads]
+    traces = [cached_trace(w, trace_instructions) for w in workloads]
     hw_times = [simulate(t, hw_machine).time_seconds(freq_hz) for t in traces]
 
     current = model_machine

@@ -240,14 +240,12 @@ class GemStone:
         self.platform = HardwarePlatform(
             self.config.core,
             trace_instructions=self.config.trace_instructions,
-            cache_dir=self.config.cache_dir,
             executor=self.executor,
             faults=self.config.faults,
         )
         self.gem5 = Gem5Simulation(
             machine,
             trace_instructions=self.config.trace_instructions,
-            cache_dir=self.config.cache_dir,
             executor=self.executor,
         )
         # Optional crash-safe run state: every memoised product below is

@@ -23,7 +23,7 @@ from typing import Mapping
 from repro.sim.gem5 import Gem5Simulation, Gem5Stats
 from repro.sim.platform import HardwarePlatform
 from repro.workloads.profile import WorkloadProfile
-from repro.workloads.trace import compile_trace, slice_trace
+from repro.workloads.trace import slice_trace
 
 _LINE_RE = re.compile(r"^power\[(\d+)MHz\]\s*=\s*(.+)$")
 _TERM_RE = re.compile(r"([+-])\s*([0-9.eE+-]+)\*rate\(([A-Za-z0-9_.]+)\)")
@@ -160,7 +160,7 @@ def runtime_power_trace(
         raise ValueError("need at least one window")
     from repro.sim.cpu import simulate
 
-    full = gem5._trace(profile)
+    full = gem5.trace_for(profile)
     n_blocks = len(full.block_seq)
     bounds = [round(i * n_blocks / n_windows) for i in range(n_windows + 1)]
     repeat = HardwarePlatform.repeat_count(profile, gem5.trace_instructions)

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.stats.metrics import mape, mpe, percentage_errors
 from repro.sim.dvfs import experiment_frequencies
-from repro.sim.executor import SimJobError
+from repro.sim.executor import SimJobError, prime_engines
 from repro.sim.gem5 import Gem5Simulation, Gem5Stats
 from repro.sim.platform import HardwarePlatform, HwMeasurement
 from repro.workloads.profile import WorkloadProfile
@@ -310,26 +310,6 @@ class ValidationDataset:
 ProgressCallback = Callable[[str, float, int, int], None]
 
 
-def _resolve_executor(executor, jobs: int | None, *engines):
-    """Pick the executor for a collection run.
-
-    Precedence: an explicit ``executor``; else a fresh one for an explicit
-    ``jobs`` count; else the first executor already attached to an engine
-    (so ``GemStone``-constructed engines batch automatically).
-    """
-    if executor is not None:
-        return executor
-    if jobs is not None:
-        from repro.sim.executor import SimExecutor
-
-        return SimExecutor(jobs=jobs)
-    for engine in engines:
-        attached = getattr(engine, "executor", None)
-        if attached is not None:
-            return attached
-    return None
-
-
 def collect_validation_dataset(
     platform: HardwarePlatform,
     gem5: Gem5Simulation,
@@ -337,8 +317,6 @@ def collect_validation_dataset(
     frequencies: Sequence[float] | None = None,
     with_power: bool = True,
     progress: ProgressCallback | None = None,
-    executor=None,
-    jobs: int | None = None,
     health: CollectionHealth | None = None,
 ) -> ValidationDataset:
     """Run Experiments 1 and 2 and collate them (Fig. 1 boxes a, b, f).
@@ -350,20 +328,20 @@ def collect_validation_dataset(
     skipped, so every surviving row — bit-identical to a fault-free run —
     is still analysed instead of the whole campaign aborting.
 
+    Both engines' missing simulations are batched through
+    ``platform.executor``: an executor attached only to *gem5* (its own
+    result cache, pool or guard rail) is not used here.  Give both engines
+    one executor, as :class:`~repro.core.pipeline.GemStone` does.
+
     Args:
-        platform: The hardware reference platform.
+        platform: The hardware reference platform; its executor runs the
+            simulations of both engines.
         gem5: The gem5 model simulation to validate.
         workloads: Workload profiles to run on both.
         frequencies: DVFS sweep; defaults to the paper's per-cluster sweep.
         with_power: Also capture power on the hardware (needed later by the
             energy analysis; disable to speed up pure timing studies).
         progress: Optional callback ``(workload, freq, i, total)``.
-        executor: Optional :class:`~repro.sim.executor.SimExecutor`; every
-            missing (workload x machine) simulation is submitted up front
-            in one batch instead of being computed lazily per run.
-        jobs: Shorthand for ``executor``: builds a ``SimExecutor(jobs=jobs)``
-            when no explicit executor is given.  ``jobs`` > 1 fans the batch
-            across worker processes; results are bit-identical either way.
         health: Optional pre-existing :class:`CollectionHealth` to append
             to (so one record can span validation + power collection).
 
@@ -382,19 +360,13 @@ def collect_validation_dataset(
         frequencies = experiment_frequencies(platform.core)
     frequencies = tuple(float(f) for f in frequencies)
 
-    executor = _resolve_executor(executor, jobs, platform, gem5)
-    guard_seen = (
-        len(executor.guard.events)
-        if executor is not None and getattr(executor, "guard", None) is not None
-        else 0
-    )
-    if executor is not None:
-        from repro.sim.executor import prime_engines
-
-        # Frequencies only rescale a simulation's counts; the simulation
-        # itself is per-(workload, machine), so one up-front fan-out covers
-        # the whole sweep for both engines.
-        prime_engines(executor, (platform, gem5), workload_list)
+    # Every missing (workload x machine) simulation of both engines is
+    # submitted up front in one batch through the platform's executor.
+    # Frequencies only rescale a simulation's counts, so that one fan-out
+    # covers the whole sweep.
+    executor = platform.executor
+    guard_seen = len(executor.guard.events)
+    prime_engines(executor, (platform, gem5), workload_list)
 
     if health is None:
         health = CollectionHealth()
@@ -428,8 +400,7 @@ def collect_validation_dataset(
             if progress is not None:
                 progress(profile.name, freq, done, total)
 
-    if executor is not None and getattr(executor, "guard", None) is not None:
-        health.absorb_guard_events(executor.guard.events[guard_seen:])
+    health.absorb_guard_events(executor.guard.events[guard_seen:])
     if not runs:
         raise RuntimeError(
             f"validation collection failed completely ({health.summary()}); "

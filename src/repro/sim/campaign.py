@@ -86,7 +86,7 @@ from repro.sim.machine import (
 from repro.sim.result_cache import ShardedResultStore, cache_key
 from repro.uarch.tlb import TlbHierarchyConfig
 from repro.workloads.suites import workload_by_name
-from repro.workloads.trace import compile_trace
+from repro.workloads.trace import cached_trace
 
 logger = get_logger(__name__)
 
@@ -155,7 +155,7 @@ class CampaignJob:
         key: The :func:`~repro.sim.result_cache.cache_key` of the
             (trace, machine) pair — the job's identity on the board and in
             the result store.
-        workload: Workload catalog name (the trace is recompiled from it).
+        workload: Workload catalog name (shards resolve the trace from it).
         machine_name: Machine name, for humans and journals.
         machine: The full machine config as a plain dict
             (``dataclasses.asdict``), so ablated configs that exist under
@@ -188,7 +188,9 @@ def campaign_jobs(config) -> list[CampaignJob]:
     model; power workloads additionally run on hardware only (the power
     ground truth needs no gem5 pass).  Frequencies are applied
     analytically downstream, so the job unit is exactly the executor's:
-    one (trace, machine) pair.
+    one (trace, machine) pair.  Traces come from the process-wide memo;
+    shards forked afterwards inherit it, so neither they nor an in-process
+    collation compile a trace again.
     """
     hardware = hardware_a15() if config.core == "A15" else hardware_a7()
     gem5 = config.resolve_machine()
@@ -202,7 +204,7 @@ def campaign_jobs(config) -> list[CampaignJob]:
     for ordinal, (_, (profile, machine)) in enumerate(
         sorted(wanted.items(), key=lambda item: item[0])
     ):
-        trace = compile_trace(profile, config.trace_instructions)
+        trace = cached_trace(profile, config.trace_instructions)
         jobs.append(
             CampaignJob(
                 key=cache_key(trace, machine),
@@ -818,7 +820,7 @@ def _run_one(
         report.adopted += 1
         report.done += 1
         return
-    trace = compile_trace(workload_by_name(job.workload), job.n_instrs)
+    trace = cached_trace(workload_by_name(job.workload), job.n_instrs)
     machine = machine_from_spec(job.machine)
     derived = cache_key(trace, machine)
     if derived != job.key:

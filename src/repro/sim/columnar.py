@@ -53,6 +53,8 @@ from repro.uarch.tlb import TlbStats, batch_tlb_replay
 from repro.workloads.trace import (
     CACHE_LINE_BYTES,
     PAGE_BYTES,
+    ColumnarTrace,
+    ReplayTables,
     SyntheticTrace,
 )
 
@@ -111,7 +113,29 @@ def simulate_columnar(
 
     Returns a `SimResult` bit-identical to ``repro.sim.cpu.simulate_reference``.
     ``state`` is an optional reused `_SimState` (reset by the caller);
-    only its L2-side objects and geometry carriers are used here.
+    only its L2-side objects and geometry carriers are used here.  The
+    ``replay/decode`` span covers building (or re-attaching) the decode.
+    """
+    with tracer.span("replay/decode", kind="replay"):
+        tables = trace.replay_tables()
+        cols = tables.columnar(trace)
+    return replay_decoded(trace, machine, tables, cols, state, tracer)
+
+
+def replay_decoded(
+    trace: SyntheticTrace,
+    machine: MachineConfig,
+    tables: ReplayTables,
+    cols: ColumnarTrace,
+    state=None,
+    tracer: Tracer = NULL_TRACER,
+):
+    """The replay passes of :func:`simulate_columnar` over a built decode.
+
+    ``tables`` and ``cols`` are ``trace.replay_tables()`` and its columnar
+    decode.  A caller that builds them itself —
+    :func:`repro.sim.guard.guarded_simulate`, which validates the decode
+    before replay — owns the run's one ``replay/decode`` span.
     """
     from repro.sim.cpu import (
         _SHADOW_STACK_DEPTH,
@@ -128,10 +152,6 @@ def simulate_columnar(
     ras = state.ras
     shadow_stack: deque[int] = deque(maxlen=_SHADOW_STACK_DEPTH)
     indirect = state.indirect
-
-    tables = trace.replay_tables()
-    with tracer.span("replay/decode", kind="replay"):
-        cols = tables.columnar(trace)
 
     # ---------------------------------------------------------------- warm
     # Every structure is replayed in batch form: the warm sequences become

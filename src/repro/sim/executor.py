@@ -22,9 +22,12 @@ The executor owns the whole memoisation *and* recovery story for a batch:
   (a hard worker death) loses only the jobs that had not finished — every
   completed sibling keeps its result.  Because jobs are pure, recovered
   results are bit-identical to a fault-free run;
-* **serial fallback** — ``jobs=1`` (the default everywhere) never spawns a
-  process, and a pool that cannot even be constructed (pickling-hostile
-  environment) degrades to the serial path with the identical results;
+* **serial fallback** — ``jobs=1`` never spawns a process (it is the
+  executor a :class:`SimEngine` builds when given none, and
+  ``GemStoneConfig``'s default; ``SimExecutor()`` itself defaults to
+  ``jobs=None``, one worker per core), and a pool that cannot even be
+  constructed (pickling-hostile environment) degrades to the serial path
+  with the identical results;
 * **observability** — job accounting lives in a
   :class:`~repro.obs.metrics.MetricsRegistry` (:class:`SimTelemetry` is a
   thin view over it; :func:`repro.core.report.render_sim_telemetry` shows
@@ -65,7 +68,8 @@ from repro.sim.result_cache import (
     cache_spec,
     open_cache_spec,
 )
-from repro.workloads.trace import SyntheticTrace
+from repro.workloads.profile import WorkloadProfile
+from repro.workloads.trace import SyntheticTrace, cached_trace
 
 logger = get_logger(__name__)
 
@@ -755,16 +759,70 @@ class SimExecutor:
             return result
 
 
+class SimEngine:
+    """One machine configuration simulated through an executor.
+
+    The single simulation path shared by
+    :class:`~repro.sim.platform.HardwarePlatform` and
+    :class:`~repro.sim.gem5.Gem5Simulation`: traces come from the
+    process-wide memo (:func:`~repro.workloads.trace.cached_trace`), every
+    missing simulation runs through :attr:`executor` (which owns dedup,
+    retry, guard checks and the disk cache) and the result is memoised per
+    workload on the engine.  ``has_result`` / ``trace_for`` /
+    ``absorb_result`` are the batching protocol of :func:`prime_engines`.
+
+    Args:
+        machine: The machine configuration this engine simulates.
+        trace_instructions: Trace length of every workload.
+        executor: The :class:`SimExecutor` to simulate through; defaults to
+            a serial ``SimExecutor(jobs=1, faults=faults)``.
+        faults: Optional :class:`~repro.sim.faults.FaultPlan` for the
+            default executor (chaos testing only).
+    """
+
+    def __init__(
+        self,
+        machine: MachineConfig,
+        trace_instructions: int,
+        executor: SimExecutor | None = None,
+        faults=None,
+    ):
+        self.machine = machine
+        self.trace_instructions = trace_instructions
+        self.executor = (
+            executor if executor is not None else SimExecutor(jobs=1, faults=faults)
+        )
+        self._sim_cache: dict[str, SimResult] = {}
+
+    def _sim(self, profile: WorkloadProfile) -> SimResult:
+        result = self._sim_cache.get(profile.name)
+        if result is None:
+            result = self.executor.run(self.trace_for(profile), self.machine)
+            self._sim_cache[profile.name] = result
+        return result
+
+    def has_result(self, name: str) -> bool:
+        """True when this workload's simulation is already memoised."""
+        return name in self._sim_cache
+
+    def trace_for(self, profile: WorkloadProfile) -> SyntheticTrace:
+        """The workload's trace, compiled once per process."""
+        return cached_trace(profile, self.trace_instructions)
+
+    def absorb_result(self, name: str, result: SimResult) -> None:
+        """Install an externally computed simulation result."""
+        self._sim_cache[name] = result
+
+
 def prime_engines(
     executor: SimExecutor,
-    engines: Iterable,
+    engines: Iterable[SimEngine],
     profiles: Iterable,
 ) -> int:
     """Batch-simulate workloads for several engines in one fan-out.
 
-    ``engines`` are simulation front ends exposing the small batching
-    protocol (``has_result`` / ``trace_for`` / ``machine`` /
-    ``absorb_result``) — :class:`~repro.sim.platform.HardwarePlatform` and
+    ``engines`` are :class:`SimEngine` front ends —
+    :class:`~repro.sim.platform.HardwarePlatform` and
     :class:`~repro.sim.gem5.Gem5Simulation`.  All missing (workload ×
     machine) jobs are submitted to the executor up front, so one pool
     services the hardware and model simulations together.

@@ -45,6 +45,7 @@ from time import monotonic
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, MetricView
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.sim import columnar
 from repro.sim.machine import MachineConfig
 from repro.workloads.trace import SyntheticTrace, validate_columnar
 
@@ -291,10 +292,12 @@ def guarded_simulate(
     campaign shards call (events ship back in-band, so nothing here touches
     process globals beyond the trace's own decode memo).
 
-    1. apply any columnar chaos faults from ``faults`` (tests only),
+    1. build (or re-attach) the decode and apply any columnar chaos
+       faults from ``faults`` (tests only),
     2. on the first replay of this decode in this process, validate it
        (checksum + contract); a corrupt decode is quarantined and
-       re-decoded before replay,
+       re-decoded before replay — steps 1-2 are the job's one
+       ``replay/decode`` span,
     3. replay through the columnar engine,
     4. reject NaN/overflow in the result.
 
@@ -309,35 +312,33 @@ def guarded_simulate(
             integrity scan.  The decode and its memos are quarantined
             first, so a retry replays a fresh decode.
     """
-    from repro.sim.cpu import simulate
-
     events: list[GuardEvent] = []
-    tables = trace.replay_tables()
-    cols = tables.columnar(trace)
     fired = (
         faults.columnar_faults(trace.name, attempt, ordinal)
         if faults is not None
         else ()
     )
-    if "corrupt-column" in fired:
-        _corrupt_columns(cols)
-
-    # --- decoded-form validation (once per re-attach) --------------------
-    if not cols.fixpoint_seeds.get(_VALIDATED_KEY):
-        problems = validate_columnar(cols)
-        if problems:
-            events.append(
-                GuardEvent(
-                    kind="decode-corrupt",
-                    workload=trace.name,
-                    machine=machine.name,
-                    action="requarantine-decode",
-                    detail="; ".join(problems[:3]),
+    # --- decode + decoded-form validation (once per re-attach) -----------
+    with tracer.span("replay/decode", kind="replay"):
+        tables = trace.replay_tables()
+        cols = tables.columnar(trace)
+        if "corrupt-column" in fired:
+            _corrupt_columns(cols)
+        if not cols.fixpoint_seeds.get(_VALIDATED_KEY):
+            problems = validate_columnar(cols)
+            if problems:
+                events.append(
+                    GuardEvent(
+                        kind="decode-corrupt",
+                        workload=trace.name,
+                        machine=machine.name,
+                        action="requarantine-decode",
+                        detail="; ".join(problems[:3]),
+                    )
                 )
-            )
-            tables._columnar = None
-            cols = tables.columnar(trace)
-        cols.fixpoint_seeds[_VALIDATED_KEY] = True
+                tables._columnar = None
+                cols = tables.columnar(trace)
+            cols.fixpoint_seeds[_VALIDATED_KEY] = True
 
     def reject(kind: str, detail: str) -> ReplayRejected:
         _quarantine_decode(tables, cols)
@@ -354,7 +355,7 @@ def guarded_simulate(
 
     # --- replay, guarded against exceptions ------------------------------
     try:
-        result = simulate(trace, machine, tracer=tracer)
+        result = columnar.replay_decoded(trace, machine, tables, cols, tracer=tracer)
     except Exception as exc:
         raise reject("engine-error", f"{type(exc).__name__}: {exc}") from exc
 

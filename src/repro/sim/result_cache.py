@@ -16,8 +16,9 @@ run) and counted in :class:`CacheTelemetry`.  Writes fsync before the
 atomic rename; a full or read-only cache directory degrades the cache to
 uncached operation with a single warning instead of aborting a batch.
 
-The hardware platform and the gem5 simulation both accept a ``cache_dir``;
-re-running an evaluation after a restart then costs seconds, not minutes.
+A :class:`~repro.sim.executor.SimExecutor` built with a ``cache_dir`` (the
+one both simulators of a run share) probes and fills it; re-running an
+evaluation after a restart then costs seconds, not minutes.
 
 Campaign mode shares one store between many worker *processes on many
 hosts*: :class:`ShardedResultStore` spreads the same envelopes across

@@ -474,13 +474,26 @@ def build_columnar_trace(
     return cols
 
 
+#: Entries kept by each process-wide memo below (compiled traces, replay
+#: tables).  A default report needs 65 unique traces (45 validation
+#: workloads, all among the 65 power workloads), so 80 holds a whole
+#: report and each of its traces is compiled and decoded once per process;
+#: older entries are evicted first-in first-out past it.
+PROCESS_MEMO_MAX = 80
+
+
+def _memo_put(memo: dict, key, value) -> None:
+    if len(memo) >= PROCESS_MEMO_MAX:
+        memo.pop(next(iter(memo)))
+    memo[key] = value
+
+
 #: Process-wide replay-table memo keyed by trace identity.  A campaign that
 #: simulates the same workload across machines, DVFS points and executor
-#: jobs decodes each trace exactly once per process: executor workers
-#: receive traces pickled without their decode (see
-#: ``SyntheticTrace.__getstate__``) and re-attach the shared tables here.
+#: jobs decodes each trace once per process: executor workers receive
+#: traces pickled without their decode (see ``SyntheticTrace.__getstate__``)
+#: and re-attach the shared tables here.
 _REPLAY_MEMO: dict[tuple[str, int, int, int], ReplayTables] = {}
-_REPLAY_MEMO_MAX = 64
 
 
 def _trace_identity(trace: "SyntheticTrace") -> tuple[str, int, int, int]:
@@ -537,9 +550,7 @@ class SyntheticTrace:
             tables = _REPLAY_MEMO.get(key)
             if tables is None:
                 tables = build_replay_tables(self)
-                if len(_REPLAY_MEMO) >= _REPLAY_MEMO_MAX:
-                    _REPLAY_MEMO.pop(next(iter(_REPLAY_MEMO)))
-                _REPLAY_MEMO[key] = tables
+                _memo_put(_REPLAY_MEMO, key, tables)
             self._replay = tables
         return self._replay
 
@@ -1110,3 +1121,29 @@ def compile_trace(
     if seed is None:
         seed = workload_seed(profile.name)
     return _TraceBuilder(profile, n_instrs, seed).build()
+
+
+#: Process-wide compiled-trace memo keyed by ``(profile, n_instrs, seed)``.
+_TRACE_MEMO: dict[tuple[WorkloadProfile, int, int], SyntheticTrace] = {}
+
+
+def cached_trace(profile: WorkloadProfile, n_instrs: int) -> SyntheticTrace:
+    """The trace :func:`compile_trace` builds, compiled once per process.
+
+    Every run-time consumer — both simulators, campaign job derivation,
+    shard workers, run-time power traces — shares one compiled trace per
+    ``(profile, n_instrs, seed)``, the seed being the workload's default
+    :func:`workload_seed`, so the hardware and gem5 passes over a workload
+    replay the same object (the SynchroTrace split: capture once, replay
+    against many configs).  Campaign shards are forked after the
+    coordinator derives its jobs and inherit the memo.  A miss calls the
+    module-level :func:`compile_trace`, which stays the uncached builder.
+    Callers must treat the returned trace as read-only.
+    """
+    seed = workload_seed(profile.name)
+    key = (profile, int(n_instrs), seed)
+    trace = _TRACE_MEMO.get(key)
+    if trace is None:
+        trace = compile_trace(profile, n_instrs, seed)
+        _memo_put(_TRACE_MEMO, key, trace)
+    return trace

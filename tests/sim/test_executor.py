@@ -186,15 +186,19 @@ class TestCollectionDeterminism:
         frequencies = (600e6, 1000e6)
 
         def collect(jobs):
-            platform = HardwarePlatform("A15", trace_instructions=N_INSTRS)
-            gem5 = Gem5Simulation(gem5_ex5_big(), trace_instructions=N_INSTRS)
+            executor = SimExecutor(jobs=jobs)
+            platform = HardwarePlatform(
+                "A15", trace_instructions=N_INSTRS, executor=executor
+            )
+            gem5 = Gem5Simulation(
+                gem5_ex5_big(), trace_instructions=N_INSTRS, executor=executor
+            )
             return collect_validation_dataset(
                 platform,
                 gem5,
                 profiles,
                 frequencies,
                 with_power=False,
-                jobs=jobs,
             )
 
         serial = collect(1)

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-import repro.sim.cpu as cpu
+import repro.sim.columnar as columnar
 import repro.sim.guard as guard
 from repro.sim.cpu import simulate_reference
 from repro.sim.faults import FaultPlan
@@ -202,7 +202,7 @@ class TestGuardedSimulate:
         def broken(*args, **kwargs):
             raise IndexError("pass overran its column")
 
-        monkeypatch.setattr(cpu, "simulate", broken)
+        monkeypatch.setattr(columnar, "replay_decoded", broken)
         with pytest.raises(ReplayRejected) as caught:
             guarded_simulate(trace, machine)
         (event,) = caught.value.events
